@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .convexity import convexity_witness, digital_convexity
-from .errors import NbhdReconError
+from .errors import InputError, NbhdReconError
 from .families import neighborhood_multiset, support_of
 from .formats import (
     dumps_canonical,
@@ -65,6 +65,19 @@ def _load_graph(text: str):
     return from_graph6(text)
 
 
+def _parse_vertex_ids(text: str, n: int) -> list[int]:
+    """Parse ``--set``: a JSON array of vertex ids, each an integer in 0..n-1."""
+    members = parse_json(text)
+    if not isinstance(members, list):
+        raise InputError("--set must be a JSON array of vertex ids")
+    for v in members:
+        if type(v) is not int:  # bool is an int subclass; reject it too
+            raise InputError(f"--set: vertex id {json.dumps(v)} is not an integer")
+        if not 0 <= v < n:
+            raise InputError(f"--set: vertex id {v} outside 0..{n - 1}")
+    return members
+
+
 def _result_json(result: ReconstructionResult, count_only: bool = False,
                  with_dot: bool = False) -> dict:
     out = {
@@ -101,7 +114,7 @@ def cmd_nbhd(args) -> int:
 def cmd_convex(args) -> int:
     g = _load_graph(_read_input(args.input))
     if args.set is not None:
-        members = parse_json(args.set)
+        members = _parse_vertex_ids(args.set, g.n)
         s = VertexSet.from_members(members, g.n)
         witness = convexity_witness(g, s)
         record = {"set": sorted(members), "digitally_convex": witness.convex}

@@ -2,11 +2,11 @@
 
 A vertex set S is digitally convex when every outside vertex v keeps a
 private neighbor, i.e. some x in N[v] that N[S] does not reach.  Membership
-is checked straight from that definition; the enumeration sweeps all 2^n
-subsets.  Complementation connects the convex sets to the family of
-neighborhood unions, and that bridge is what the reconstruction code uses,
-so the definition-based functions here stay independent of the family
-algebra and can cross-check it.
+(:func:`is_digitally_convex`, :func:`convexity_witness`) is checked straight
+from that definition and stays independent of the family algebra, so it can
+cross-check the rest.  Enumeration and the axiom check instead work on the
+2^n subset lattice through the complement bridge: the convex sets are
+exactly the complements of the sets N[A], A <= V.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .families import SetFamily
+from .families import LATTICE_CEILING, SetFamily, lattice_pays, member_lattice
 from .graphs import Graph, VertexSet, mask_members
 
-#: The enumeration is a 2^n sweep; past this it is out of desk scale.
-CONVEXITY_ENUMERATION_CEILING = 20
+#: The enumeration builds a 2^n lattice table of uint32 masks, so it shares
+#: the lattice ceiling; past it the instance is out of desk scale.
+CONVEXITY_ENUMERATION_CEILING = LATTICE_CEILING
 
 
 def is_digitally_convex(g: Graph, s: VertexSet) -> bool:
@@ -70,8 +71,9 @@ def convexity_witness(g: Graph, s: VertexSet) -> ConvexityWitness:
 def digital_convexity(g: Graph) -> SetFamily:
     """All digitally convex sets of ``g``; always contains the empty set and V.
 
-    Sweeps every subset, reusing a table of N[S] masks built by dynamic
-    programming over the subset lattice.
+    By the complement bridge the convex sets are exactly the complements of
+    the sets N[A], A <= V.  The table of all N[A] is built by doubling, one
+    vertex at a time, and the distinct values are complemented.
     """
     n = g.n
     if n > CONVEXITY_ENUMERATION_CEILING:
@@ -79,24 +81,13 @@ def digital_convexity(g: Graph) -> SetFamily:
             f"digital convexity enumeration is capped at "
             f"{CONVEXITY_ENUMERATION_CEILING} vertices (got {n})"
         )
-    closed = [g.closed_mask(v) for v in range(n)]
-    total = 1 << n
-    reach = [0] * total  # reach[S] = N[S]
-    for s_bits in range(1, total):
-        low = s_bits & -s_bits
-        reach[s_bits] = reach[s_bits ^ low] | closed[low.bit_length() - 1]
-    full = total - 1
-    convex = []
-    for s_bits in range(total):
-        cover = reach[s_bits]
-        ok = True
-        for v in mask_members(full & ~s_bits):
-            if closed[v] & ~cover == 0:
-                ok = False
-                break
-        if ok:
-            convex.append(s_bits)
-    return SetFamily(n, convex)
+    reach = np.zeros(1 << n, dtype=np.uint32)  # reach[A] = N[A]
+    for v in range(n):
+        reach[1 << v:2 << v] = reach[:1 << v] | g.closed_mask(v)
+    seen = np.zeros(1 << n, dtype=bool)
+    seen[reach] = True
+    full = (1 << n) - 1
+    return SetFamily(n, (full ^ np.flatnonzero(seen)).tolist())
 
 
 def complement_family(f: SetFamily) -> SetFamily:
@@ -131,18 +122,35 @@ class AxiomReport:
 def check_convexity_axioms(f: SetFamily) -> AxiomReport:
     """Check that ``f`` contains the empty set and V and is intersection-closed.
 
-    Reports the first violating pair in canonical member order.  The pairwise
-    sweep is vectorized; families of convex sets can run to 2^n members.
+    F is intersection-closed iff the complement family C is union-closed.
+    Over the lattice of C's members (``table[X]`` = union of the members of
+    C inside X) the fixed points ``table[X] == X`` are exactly the unions of
+    members, so C is union-closed iff there are |F| of them.  Only when that
+    test fails, when the family is small, or when the universe is too large
+    for the lattice does the pairwise sweep run, and it reports the first
+    violating pair in canonical member order.
     """
     full = (1 << f.universe) - 1
     if not f.contains_mask(0):
         return AxiomReport(False, missing_empty=True)
     if not f.contains_mask(full):
         return AxiomReport(False, missing_universe=True)
-    masks = f.masks
-    k = len(masks)
+    k = len(f.masks)
     if k <= 2:
         return AxiomReport(True)
+    n = f.universe
+    if lattice_pays(k, n):
+        comp = np.uint32(full) ^ np.array(f.masks, dtype=np.uint32)
+        table = member_lattice(comp, n)
+        if np.count_nonzero(table == np.arange(1 << n, dtype=np.uint32)) == k:
+            return AxiomReport(True)
+    return _pairwise_axiom_check(f)
+
+
+def _pairwise_axiom_check(f: SetFamily) -> AxiomReport:
+    """Vectorized sweep over member pairs for the first missing intersection."""
+    masks = f.masks
+    k = len(masks)
     arr = np.array(masks, dtype=np.uint64)
     sorted_masks = np.sort(arr)
     block = max(1, (1 << 22) // k)  # keep each pairwise slab around 32 MB

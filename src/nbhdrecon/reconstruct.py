@@ -20,12 +20,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .convexity import check_convexity_axioms, digital_convexity
-from .errors import InputError, UnrealizableFamilyError
+from .convexity import (
+    CONVEXITY_ENUMERATION_CEILING,
+    check_convexity_axioms,
+    complement_family,
+    digital_convexity,
+)
+from .errors import InputError, ResourceLimitError, UnrealizableFamilyError
 from .families import (
     NeighborhoodMultiset,
     SetFamily,
     incidence_signatures,
+    irreducible_members,
     neighborhood_multiset,
     support_of,
     _base_vertices_from_signatures,
@@ -318,23 +324,7 @@ def from_support(f: SetFamily, mode: str = "all",
 # ---------------------------------------------------------------------------
 
 
-def _irreducible_members(masks) -> list[int]:
-    """Nonempty members that are not unions of strictly smaller members."""
-    distinct = set(masks)
-    out = []
-    for m in distinct:
-        if m == 0:
-            continue
-        below = 0
-        for other in distinct:
-            if other != m and other & ~m == 0:
-                below |= other
-        if below != m:
-            out.append(m)
-    return out
-
-
-def _dc_realize(u_masks: frozenset[int], verts: int, limit: int,
+def _dc_realize(u: SetFamily, verts: int, limit: int,
                 stats: dict) -> tuple[list[dict[int, int]], bool]:
     """Realize a family of neighborhood unions restricted to ``verts``.
 
@@ -350,19 +340,14 @@ def _dc_realize(u_masks: frozenset[int], verts: int, limit: int,
     if len(vlist) == 1:
         return [{vlist[0]: 0}], False
 
-    masks = sorted(u_masks)
-    sig = {v: 0 for v in vlist}
-    for i, m in enumerate(masks):
-        for v in mask_members(m & verts):
-            sig[v] |= 1 << i
-
+    sig = incidence_signatures(u, verts)
     base = _base_vertices_from_signatures(sig, vlist)
     if not base:
         return [], False
     s_mask = mask_of(base)
 
     if s_mask == verts:
-        irr = _irreducible_members(masks)
+        irr = irreducible_members(u.masks, u.universe)
         pos = {v: i for i, v in enumerate(vlist)}
         compacted = []
         for m in irr:
@@ -381,7 +366,7 @@ def _dc_realize(u_masks: frozenset[int], verts: int, limit: int,
                         for i, v in enumerate(vlist)})
         return out, sub.truncated
 
-    u_restricted = frozenset(m & s_mask for m in u_masks)
+    u_restricted = SetFamily(u.universe, (m & s_mask for m in u.masks))
     sub_adjs, truncated = _dc_realize(u_restricted, s_mask, limit, stats)
 
     canonical: dict[int, int] = {}
@@ -390,9 +375,9 @@ def _dc_realize(u_masks: frozenset[int], verts: int, limit: int,
             canonical[v] = 1 << v
         else:
             a = 0
-            for u in base:
-                if sig[u] & ~sig[v] == 0:
-                    a |= 1 << u
+            for b in base:
+                if sig[b] & ~sig[v] == 0:
+                    a |= 1 << b
             canonical[v] = a
 
     out = []
@@ -430,13 +415,17 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     n = d.universe
     if n < 1:
         raise InputError("convexity reconstruction needs a nonempty universe")
+    if n > CONVEXITY_ENUMERATION_CEILING:
+        # every candidate is re-verified by enumerating its convexity
+        raise ResourceLimitError(
+            f"convexity reconstruction is capped at "
+            f"{CONVEXITY_ENUMERATION_CEILING} vertices (got {n})"
+        )
     if not check_convexity_axioms(d):
         return _verdict(mode, [], False, 0, t0)
 
-    full = (1 << n) - 1
-    u_masks = frozenset(full & ~m for m in d.masks)
     stats = {"nodes": 0}
-    adjs, truncated = _dc_realize(u_masks, full, limit, stats)
+    adjs, truncated = _dc_realize(complement_family(d), (1 << n) - 1, limit, stats)
 
     graphs = []
     seen = set()

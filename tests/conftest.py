@@ -57,3 +57,21 @@ def c4_labelings():
 @pytest.fixture(scope="session")
 def p3():
     return P3
+
+
+@pytest.fixture(params=["pairs", "lattice"])
+def lattice_side(request, monkeypatch):
+    """Force one side of the pair-sweep / subset-lattice cut-over, so small
+    families can be checked against exponential oracles on both paths.
+    Universes above the lattice ceiling take the pair sweeps either way."""
+    from nbhdrecon import convexity, families
+
+    if request.param == "pairs":
+        def pays(k, n):
+            return False
+    else:
+        def pays(k, n):
+            return n <= families.LATTICE_CEILING
+    monkeypatch.setattr(families, "lattice_pays", pays)
+    monkeypatch.setattr(convexity, "lattice_pays", pays)
+    return request.param

@@ -138,6 +138,26 @@ def oracle_union_basis(members: list[frozenset]) -> set[frozenset]:
     return set(minimal[0])
 
 
+def oracle_irreducible(members) -> set[frozenset]:
+    """Nonempty members that differ from the union of the members strictly
+    inside them; quadratic, for families too large for the basis oracle."""
+    distinct = set(members)
+    return {m for m in distinct
+            if m and frozenset().union(*(o for o in distinct if o < m)) != m}
+
+
+def oracle_first_unclosed_pair(members):
+    """First pair (i <= j) in canonical member order whose intersection is
+    missing from the family, as a pair of sorted tuples, or None."""
+    order = sorted({frozenset(m) for m in members}, key=lambda s: (len(s), sorted(s)))
+    present = set(order)
+    for i, a in enumerate(order):
+        for b in order[i:]:
+            if a & b not in present:
+                return tuple(sorted(a)), tuple(sorted(b))
+    return None
+
+
 def oracle_base_vertex_set(g: Graph, base_members) -> bool:
     """Check the defining property of a base-vertex set directly on ``g``:
 

@@ -78,6 +78,17 @@ class TestConvex:
         code, out, _ = run(capsys, "convex", "--set", "[1]", str(p))
         assert jline(out)["digitally_convex"] is False
 
+    @pytest.mark.parametrize("bad", ["[-1]", '"ab"', "ab", "[1.5]", "[true]", "[3]",
+                                     '{"0": 1}'])
+    def test_malformed_set_exit_one(self, capsys, tmp_path, bad):
+        p = tmp_path / "p3.g6"
+        p.write_text(to_graph6(pg(3, [(1, 2), (2, 3)])))
+        code, out, err = run(capsys, "convex", "--set", bad, str(p))
+        assert code == 1
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_json_object_mode_feeds_reconstruct(self, capsys, tmp_path):
         p = tmp_path / "g.g6"
         p.write_text(to_graph6(UNIQUE_WITH_C4))

@@ -16,8 +16,17 @@ from nbhdrecon import (
     is_digitally_convex,
     union_closure,
 )
+from nbhdrecon.families import lattice_pays
 
-from helpers import P3, WORKED_EXAMPLE, oracle_is_convex, random_graph, vs1
+from helpers import (
+    P3,
+    WORKED_EXAMPLE,
+    oracle_first_unclosed_pair,
+    oracle_is_convex,
+    random_c4_free_graph,
+    random_graph,
+    vs1,
+)
 
 
 def fam(universe, *sets):
@@ -96,6 +105,14 @@ class TestEnumeration:
             for bits in range(1 << n):
                 assert (VertexSet(bits, n) in d) == is_digitally_convex(g, VertexSet(bits, n))
 
+    def test_matches_membership_predicate_n7_to_12(self):
+        rng = random.Random(713)
+        for n in range(7, 13):
+            for g in (random_graph(n, rng), random_c4_free_graph(n, rng)):
+                want = [bits for bits in range(1 << n)
+                        if is_digitally_convex(g, VertexSet(bits, n))]
+                assert digital_convexity(g) == SetFamily(n, want)
+
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):
             digital_convexity(Graph(21))
@@ -170,3 +187,56 @@ class TestAxioms:
             f = SetFamily(u, masks)
             closed = all(f.contains_mask(x & y) for x in f.masks for y in f.masks)
             assert check_convexity_axioms(f).ok == closed
+
+
+def _intersection_closure(masks):
+    while True:
+        grown = masks | {a & b for a in masks for b in masks}
+        if grown == masks:
+            return masks
+        masks = grown
+
+
+def _assert_axioms_match_oracle(f) -> bool:
+    want = oracle_first_unclosed_pair(m.members() for m in f)
+    report = check_convexity_axioms(f)
+    assert report.ok == (want is None)
+    if want is not None:
+        assert tuple(v.members() for v in report.violating_pair) == want
+    return report.ok
+
+
+class TestAxiomKernel:
+    def test_matches_pairwise_oracle_on_both_sides(self, lattice_side):
+        rng = random.Random(4242)
+        closed = 0
+        for _ in range(80):
+            u = rng.randint(1, 9)
+            masks = {0, (1 << u) - 1}
+            masks |= {rng.getrandbits(u) for _ in range(rng.randint(0, 8))}
+            if rng.random() < 0.5:
+                masks = _intersection_closure(masks)
+            closed += _assert_axioms_match_oracle(SetFamily(u, masks))
+        assert 0 < closed < 80
+
+    def test_natural_cutover_on_convexities(self):
+        # convexities are closed; adding or dropping a member may break that
+        rng = random.Random(4243)
+        sides = set()
+        checked = 0
+        while checked < 30:
+            n = rng.randint(6, 12)
+            g = random_c4_free_graph(n, rng) if rng.random() < 0.5 else random_graph(n, rng)
+            masks = set(digital_convexity(g).masks)
+            if len(masks) > 400:  # keep the quadratic oracle cheap
+                continue
+            roll = rng.random()
+            if roll < 0.35:
+                masks.add(rng.getrandbits(n))
+            elif roll < 0.7 and len(masks) > 2:
+                masks.discard(rng.choice(sorted(masks - {0, (1 << n) - 1})))
+            f = SetFamily(n, masks)
+            sides.add(lattice_pays(len(f), n))
+            _assert_axioms_match_oracle(f)
+            checked += 1
+        assert sides == {False, True}

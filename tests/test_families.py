@@ -20,6 +20,7 @@ from nbhdrecon import (
     union_basis,
     union_closure,
 )
+from nbhdrecon.families import lattice_pays
 
 from helpers import (
     P3,
@@ -27,6 +28,7 @@ from helpers import (
     WORKED_EXAMPLE_SUPPORT,
     nbhd_sets,
     oracle_base_vertex_set,
+    oracle_irreducible,
     oracle_union_basis,
     oracle_union_closure,
     random_graph,
@@ -192,6 +194,35 @@ class TestUnionBasis:
             f = SetFamily(u, [VertexSet.from_members(s, u) for s in members])
             got = {frozenset(m.members()) for m in union_basis(f)}
             assert got == oracle_union_basis(list({frozenset(s) for s in members}))
+
+    def test_matches_bruteforce_oracle_on_both_sides(self, lattice_side):
+        # members are random unions of a few atoms, so many are reducible;
+        # universes 21..24 are past the lattice ceiling and take the pairs
+        rng = random.Random(19)
+        for _ in range(40):
+            u = rng.randint(1, 8) if rng.random() < 0.6 else rng.randint(21, 24)
+            atoms = [frozenset(v for v in range(u) if rng.random() < 0.3)
+                     for _ in range(rng.randint(1, 4))]
+            members = {frozenset().union(*(a for a in atoms if rng.random() < 0.5))
+                       for _ in range(rng.randint(1, 7))}
+            f = SetFamily(u, [VertexSet.from_members(s, u) for s in members])
+            got = {frozenset(m.members()) for m in union_basis(f)}
+            assert got == oracle_union_basis(list(members))
+
+    def test_natural_cutover_against_irreducible_oracle(self):
+        rng = random.Random(29)
+        sides = set()
+        checked = 0
+        while checked < 30:
+            n = rng.randint(4, 12)
+            f = union_closure(closed_support(random_graph(n, rng)))
+            if len(f) > 600:  # keep the quadratic oracle cheap
+                continue
+            sides.add(lattice_pays(len(f), n))
+            want = oracle_irreducible(frozenset(m.members()) for m in f)
+            assert {frozenset(m.members()) for m in union_basis(f)} == want
+            checked += 1
+        assert sides == {False, True}
 
     def test_order_invariance_and_minimality(self):
         rng = random.Random(23)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from nbhdrecon import (
     Graph,
     InputError,
     NeighborhoodMultiset,
+    ResourceLimitError,
     SetFamily,
     UnrealizableFamilyError,
     VertexSet,
@@ -290,6 +292,24 @@ class TestFromDigitalConvexity:
             result = from_digital_convexity(digital_convexity(g), "all", 4)
             assert result.verdict == "unique"
             assert result.graph == g
+
+
+    def test_size_ceiling_checked_before_any_work(self):
+        # not intersection-closed, so the axiom check alone would say
+        # infeasible; the ceiling must fire first
+        d = SetFamily(21, [0, 0b11, 0b110, (1 << 21) - 1])
+        with pytest.raises(ResourceLimitError):
+            from_digital_convexity(d)
+
+    def test_n16_roundtrip_time_bound(self):
+        g = random_c4_free_graph(16, random.Random(16))
+        t0 = time.perf_counter()
+        d = digital_convexity(g)
+        result = from_digital_convexity(d, "all")
+        elapsed = time.perf_counter() - t0
+        assert len(d) == 5632
+        assert result.verdict == "unique" and result.graph == g
+        assert elapsed < 2.0, f"n=16 round trip took {elapsed:.2f}s"
 
 
 class TestRealizes:
