@@ -12,7 +12,6 @@ from nbhdrecon import (
     girth,
     is_isomorphic,
     neighborhood_multiset,
-    support_of,
     witness_permutation,
 )
 
@@ -30,7 +29,7 @@ def main():
     p3 = Graph(3, [(0, 1), (1, 2)])
     show("path a-b-c", p3)
     print("support (distinct sets):",
-          [set(m.members()) for m in support_of(neighborhood_multiset(p3))])
+          [set(m.members()) for m in neighborhood_multiset(p3).support()])
 
     print()
     print("=" * 64)

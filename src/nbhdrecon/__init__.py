@@ -41,7 +41,6 @@ from .families import (
     cn_subset,
     neighborhood_multiset,
     spans,
-    support_of,
     union_basis,
     union_closure,
 )

@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .convexity import convexity_witness, digital_convexity
 from .errors import InputError, NbhdReconError
-from .families import neighborhood_multiset, support_of
+from .families import neighborhood_multiset
 from .formats import (
     dumps_canonical,
     family_from_json_dict,
@@ -105,7 +105,7 @@ def cmd_nbhd(args) -> int:
     g = _load_graph(_read_input(args.input))
     m = neighborhood_multiset(g, closed=not args.open)
     if args.support:
-        print(dumps_canonical(family_to_json_dict(support_of(m))))
+        print(dumps_canonical(family_to_json_dict(m.support())))
     else:
         print(dumps_canonical(multiset_to_json_dict(m)))
     return EXIT_OK

@@ -170,11 +170,6 @@ def neighborhood_multiset(g: Graph, closed: bool = True) -> NeighborhoodMultiset
     return NeighborhoodMultiset(g.n, masks)
 
 
-def support_of(m: NeighborhoodMultiset) -> SetFamily:
-    """Distinct members of ``m`` as a plain family."""
-    return m.support()
-
-
 def closed_support(g: Graph) -> SetFamily:
     """Shorthand for the set of distinct closed neighborhoods of ``g``."""
     return neighborhood_multiset(g, closed=True).support()

@@ -117,9 +117,12 @@ def graph_from_json_dict(obj: dict) -> Graph:
     if "n" not in obj:
         raise FormatError('graph JSON needs an "n" field')
     n = obj["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:  # bool is an int subclass; reject it too
         raise FormatError('"n" must be an integer')
     labels = obj.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(
+            isinstance(x, (str, int, float)) for x in labels)):
+        raise FormatError('"labels" must be an array of strings or numbers')
     if "adjacency" in obj:
         adjacency = obj["adjacency"]
         if not isinstance(adjacency, list) or len(adjacency) != n:
@@ -129,7 +132,7 @@ def graph_from_json_dict(obj: dict) -> Graph:
             if not isinstance(nbrs, list):
                 raise FormatError(f"adjacency entry for vertex {u} is not an array")
             for v in nbrs:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise FormatError(f"neighbor {v!r} of vertex {u} out of range")
                 masks[u] |= 1 << v
         try:
@@ -137,10 +140,12 @@ def graph_from_json_dict(obj: dict) -> Graph:
         except InputError as exc:
             raise FormatError(str(exc)) from exc
     if "edges" in obj:
+        if not isinstance(obj["edges"], list):
+            raise FormatError('"edges" must be an array of vertex pairs')
         edges = []
         for pair in obj["edges"]:
             if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or not all(isinstance(x, int) for x in pair)):
+                    or not all(type(x) is int for x in pair)):
                 raise FormatError(f"edge {pair!r} is not a pair of integers")
             edges.append((pair[0], pair[1]))
         try:
@@ -172,12 +177,12 @@ def _sets_from_json(obj: dict) -> tuple[int, list[list[int]]]:
         raise FormatError('set-family JSON needs "universe" and "sets" fields')
     universe = obj["universe"]
     sets = obj["sets"]
-    if not isinstance(universe, int) or universe < 0:
+    if type(universe) is not int or universe < 0:
         raise FormatError('"universe" must be a non-negative integer')
     if not isinstance(sets, list):
         raise FormatError('"sets" must be an array of integer arrays')
     for i, members in enumerate(sets):
-        if not isinstance(members, list) or not all(isinstance(v, int) for v in members):
+        if not isinstance(members, list) or not all(type(v) is int for v in members):
             raise FormatError(f'set #{i} is not an integer array')
         for v in members:
             if not 0 <= v < universe:

@@ -123,10 +123,6 @@ class VertexSet:
 
     issubset = __le__
 
-    def canonical_key(self) -> tuple:
-        """Sort key giving the (size, lexicographic members) canonical order."""
-        return (self.bits.bit_count(), self.members())
-
     def __repr__(self) -> str:
         inner = "{" + ",".join(map(str, self.members())) + "}"
         return f"VertexSet({inner}, universe={self.universe})"
@@ -141,7 +137,7 @@ class Graph:
     are ignored by equality and hashing, which compare ``(n, adjacency)``.
     """
 
-    __slots__ = ("n", "_adj", "labels", "_label_index")
+    __slots__ = ("n", "_adj", "labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  labels: Sequence[Hashable] | None = None):
@@ -169,7 +165,6 @@ class Graph:
             if len(set(labels)) != self.n:
                 raise InputError("labels must be distinct")
         self.labels = labels
-        self._label_index = {lab: v for v, lab in enumerate(labels)}
 
     @classmethod
     def from_adjacency_masks(cls, masks: Sequence[int],
@@ -223,8 +218,8 @@ class Graph:
 
     def id_of(self, label: Hashable) -> int:
         try:
-            return self._label_index[label]
-        except KeyError:
+            return self.labels.index(label)
+        except ValueError:
             raise InputError(f"unknown label {label!r}") from None
 
     def subset(self, vertices: Iterable[int]) -> VertexSet:
@@ -265,10 +260,7 @@ class Graph:
         """
         if s.universe != self.n:
             raise InputError(f"universe mismatch: set on {s.universe}, graph on {self.n}")
-        out = 0
-        for v in mask_members(s.bits):
-            out |= self._adj[v] | (1 << v)
-        return VertexSet(out, self.n)
+        return VertexSet(self.closed_mask_of_set(s.bits), self.n)
 
     def closed_mask_of_set(self, bits: int) -> int:
         """Raw-mask variant of :meth:`closed_neighborhood_of_set`."""

@@ -14,6 +14,7 @@ is cross-checked against the vectorized path in the test suite.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError, VerificationError
-from .families import neighborhood_multiset
 from .graphs import Graph, VertexSet, contains_induced_c4
 
 #: Sweeps are free up to here; larger sizes must be requested explicitly.
@@ -122,14 +122,18 @@ def find_collisions(n: int, kind: str = "closed-multiset",
 
     Groups are confirmed by exact fingerprint equality and returned in
     ascending fingerprint order; members are in edge-mask order.  ``jobs``
-    partitions the edge-mask range across worker processes.
+    partitions the edge-mask range across worker processes, never more than
+    there are chunks or CPUs.
     """
     total = _check_size(n, allow_large)
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
+    if jobs < 1:
+        raise InputError(f"jobs must be positive, got {jobs}")
     chunks = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_find_collisions_worker,
                                   [(n, kind, lo, hi) for lo, hi in chunks]))
     else:
@@ -221,41 +225,24 @@ class PermutationWitness:
 def witness_permutation(g: Graph, h: Graph) -> PermutationWitness | None:
     """Find sigma with N_g[v] = N_h[sigma(v)] for all v, or None.
 
-    Requires equal closed multisets (returns None otherwise) and picks the
-    lexicographically least sigma by trying images in ascending order.
+    A bucket match: the vertices of ``h`` are bucketed by closed
+    neighborhood, and each v of ``g`` in turn takes the smallest unused u
+    from the bucket of N_g[v].  Any unused u in that bucket extends to a
+    full bijection, so this greedy choice gives the lexicographically least
+    sigma.  A bucket runs dry exactly when the closed multisets differ, and
+    the result is then None.
     """
     if g.n != h.n:
         raise InputError("graphs must share a vertex universe")
-    if neighborhood_multiset(g) != neighborhood_multiset(h):
-        return None
-    n = g.n
-    candidates = []
-    for v in range(n):
-        target = g.closed_mask(v)
-        cand = tuple(u for u in range(n) if h.closed_mask(u) == target)
-        if not cand:
+    buckets: dict[int, list[int]] = {}
+    for u in reversed(range(h.n)):
+        buckets.setdefault(h.closed_mask(u), []).append(u)
+    sigma = []
+    for v in range(g.n):
+        bucket = buckets.get(g.closed_mask(v))
+        if not bucket:
             return None
-        candidates.append(cand)
-    sigma = [-1] * n
-    used = 0
-
-    def extend(v: int) -> bool:
-        nonlocal used
-        if v == n:
-            return True
-        for u in candidates[v]:
-            if (used >> u) & 1:
-                continue
-            sigma[v] = u
-            used |= 1 << u
-            if extend(v + 1):
-                return True
-            used &= ~(1 << u)
-        sigma[v] = -1
-        return False
-
-    if not extend(0):
-        return None
+        sigma.append(bucket.pop())
     return PermutationWitness.from_sigma(tuple(sigma))
 
 

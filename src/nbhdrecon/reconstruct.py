@@ -30,10 +30,10 @@ from .errors import InputError, ResourceLimitError, UnrealizableFamilyError
 from .families import (
     NeighborhoodMultiset,
     SetFamily,
+    closed_support,
     incidence_signatures,
     irreducible_members,
     neighborhood_multiset,
-    support_of,
     _base_vertices_from_signatures,
 )
 from .graphs import Graph, VertexSet, mask_members, mask_of
@@ -51,12 +51,6 @@ class EquivalenceClasses:
     universe: int
     blocks: tuple[VertexSet, ...]
     representatives: tuple[int, ...]
-
-    def block_index_of(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if v in b:
-                return i
-        raise InputError(f"vertex {v} not covered by the partition")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,11 +99,13 @@ def _verdict(mode: str, graphs: list[Graph], truncated: bool,
     return ReconstructionResult("ambiguous", tuple(graphs), truncated, nodes, elapsed)
 
 
-def _check_mode(mode: str, limit: int) -> int:
+def _check_mode(mode: str, limit: int, universe: int) -> int:
     if mode not in _MODES:
         raise InputError(f"mode must be one of {_MODES}, got {mode!r}")
     if limit < 1:
         raise InputError(f"limit must be positive, got {limit}")
+    if universe < 1:
+        raise InputError("reconstruction needs a nonempty universe")
     return 1 if mode == "first" else limit
 
 
@@ -192,7 +188,7 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
     re-verified before being returned.
     """
     t0 = time.perf_counter()
-    cap = _check_mode(mode, limit)
+    cap = _check_mode(mode, limit, m.universe)
     n = m.universe
     nodes = 0
 
@@ -223,7 +219,7 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
         if i == n:
             adj = tuple(assigned[v] & ~(1 << v) for v in range(n))
             h = Graph._from_adj_unchecked(n, adj)
-            if neighborhood_multiset(h, closed=True) == m:
+            if realizes(h, m, "multiset"):
                 solutions.append(h)
                 if len(solutions) >= cap:
                     truncated = True
@@ -292,7 +288,7 @@ def from_support(f: SetFamily, mode: str = "all",
     candidate is re-verified against ``f``.
     """
     t0 = time.perf_counter()
-    _check_mode(mode, limit)
+    _check_mode(mode, limit, f.universe)
     n = f.universe
     covered = 0
     for mask in f.masks:
@@ -314,7 +310,7 @@ def from_support(f: SetFamily, mode: str = "all",
     graphs = []
     for q in sub.graphs:
         h = _expand_blocks(q, classes)
-        if support_of(neighborhood_multiset(h, closed=True)) == f:
+        if realizes(h, f, "support"):
             graphs.append(h)
     return _verdict(mode, graphs, sub.truncated, sub.nodes_explored, t0)
 
@@ -411,10 +407,8 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     before it is returned.
     """
     t0 = time.perf_counter()
-    _check_mode(mode, limit)
+    _check_mode(mode, limit, d.universe)
     n = d.universe
-    if n < 1:
-        raise InputError("convexity reconstruction needs a nonempty universe")
     if n > CONVEXITY_ENUMERATION_CEILING:
         # every candidate is re-verified by enumerating its convexity
         raise ResourceLimitError(
@@ -435,7 +429,7 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
             continue
         seen.add(adj)
         h = Graph._from_adj_unchecked(n, adj)
-        if digital_convexity(h) == d:
+        if realizes(h, d, "convexity"):
             graphs.append(h)
             if mode == "first":
                 break
@@ -465,7 +459,7 @@ def realizes(g: Graph, reference, kind: str) -> bool:
     if reference.universe != g.n:
         raise InputError("graph and reference universes differ")
     if kind == "support":
-        return support_of(neighborhood_multiset(g, closed=True)) == reference
+        return closed_support(g) == reference
     if kind == "convexity":
         return digital_convexity(g) == reference
     raise InputError(f"unknown invariant kind {kind!r}")

@@ -8,7 +8,7 @@ force, so agreement is meaningful.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -184,6 +184,16 @@ def oracle_base_vertex_set(g: Graph, base_members) -> bool:
         if not found:
             return False
     return True
+
+
+def oracle_least_witness(g: Graph, h: Graph) -> tuple[int, ...] | None:
+    """Lexicographically least sigma with N_g[v] = N_h[sigma(v)] for all v,
+    by trying every permutation in lexicographic order; None if none fits."""
+    ng, nh = nbhd_sets(g), nbhd_sets(h)
+    for sigma in permutations(range(g.n)):
+        if all(ng[v] == nh[sigma[v]] for v in range(g.n)):
+            return sigma
+    return None
 
 
 def brute_force_multiset_realizations(m) -> list[Graph]:

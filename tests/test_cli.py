@@ -27,6 +27,13 @@ def jline(text):
     return json.loads(lines[0])
 
 
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 @pytest.fixture()
 def worked_g6(tmp_path):
     path = tmp_path / "worked.g6"
@@ -83,11 +90,7 @@ class TestConvex:
     def test_malformed_set_exit_one(self, capsys, tmp_path, bad):
         p = tmp_path / "p3.g6"
         p.write_text(to_graph6(pg(3, [(1, 2), (2, 3)])))
-        code, out, err = run(capsys, "convex", "--set", bad, str(p))
-        assert code == 1
-        assert out == ""
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert_one_error_line(*run(capsys, "convex", "--set", bad, str(p)))
 
     def test_json_object_mode_feeds_reconstruct(self, capsys, tmp_path):
         p = tmp_path / "g.g6"
@@ -238,3 +241,28 @@ class TestErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestInputContracts:
+    @pytest.mark.parametrize("source", ["multiset", "support", "dc"])
+    def test_empty_universe_exit_one(self, capsys, tmp_path, source):
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"universe": 0, "sets": []}))
+        assert_one_error_line(*run(capsys, "reconstruct", "--from", source, str(p)))
+
+    @pytest.mark.parametrize("payload", [
+        {"n": 3, "labels": 5, "edges": []},
+        {"n": 3, "labels": [[1], [2], [3]], "edges": []},
+        {"n": 3, "edges": 5},
+        {"n": True, "edges": []},
+        {"n": 3, "edges": [[True, 2]]},
+        {"n": 2, "adjacency": [[True], [0]]},
+    ])
+    def test_malformed_graph_json_exit_one(self, capsys, tmp_path, payload):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(payload))
+        assert_one_error_line(*run(capsys, "convert", "--to", "json", str(p)))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_one(self, capsys, jobs):
+        assert_one_error_line(*run(capsys, "mine", "--n", "4", "--jobs", jobs))

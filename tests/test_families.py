@@ -16,7 +16,6 @@ from nbhdrecon import (
     cn_subset,
     neighborhood_multiset,
     spans,
-    support_of,
     union_basis,
     union_closure,
 )
@@ -46,11 +45,11 @@ class TestMultisetAndSupport:
         m = neighborhood_multiset(Graph(2, [(0, 1)]))
         assert m.entries == ((0b11, 2),)
         assert m.total_multiplicity == 2
-        assert len(support_of(m)) == 1
+        assert len(m.support()) == 1
 
     def test_c4_first_labeling(self, c4_labelings):
         m = neighborhood_multiset(c4_labelings[0])
-        assert sets1(support_of(m)) == {(1, 2, 4), (1, 2, 3), (2, 3, 4), (1, 3, 4)}
+        assert sets1(m.support()) == {(1, 2, 4), (1, 2, 3), (2, 3, 4), (1, 3, 4)}
         assert all(mult == 1 for _, mult in m.entries)
 
     def test_open_multisets_of_collision_pair(self, hexagon, two_triangles):
@@ -62,7 +61,7 @@ class TestMultisetAndSupport:
 
     def test_support_of_distinct_entries_keeps_size(self):
         m = neighborhood_multiset(P3)
-        assert len(support_of(m)) == 3 == m.total_multiplicity
+        assert len(m.support()) == 3 == m.total_multiplicity
 
     def test_multiset_against_set_oracle(self):
         rng = random.Random(4242)

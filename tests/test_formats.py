@@ -121,6 +121,21 @@ class TestGraphJson:
         with pytest.raises(FormatError):
             graph_from_json_dict({"adjacency": [[1], [0]]})
 
+    @pytest.mark.parametrize("obj", [
+        {"n": 3, "labels": 5, "edges": []},
+        {"n": 3, "labels": [[1], [2], [3]], "edges": []},
+        {"n": 3, "labels": "abc", "edges": []},
+        {"n": 3, "edges": 5},
+        {"n": True, "edges": []},
+        {"n": True, "adjacency": [[]]},
+        {"n": 3, "edges": [[True, 2]]},
+        {"n": 2, "adjacency": [[True], [0]]},
+    ])
+    def test_mistyped_fields_rejected(self, obj):
+        # bool is an int subclass, so true must not pass for 1
+        with pytest.raises(FormatError):
+            graph_from_json_dict(obj)
+
 
 class TestFamilyJson:
     def test_canonical_order_is_diff_stable(self):
@@ -146,6 +161,17 @@ class TestFamilyJson:
     def test_out_of_universe_members_rejected(self):
         with pytest.raises(FormatError):
             family_from_json_dict({"universe": 2, "sets": [[2]]})
+
+    @pytest.mark.parametrize("obj", [
+        {"universe": True, "sets": [[0]]},
+        {"universe": 2, "sets": [[True]]},
+        {"universe": 2, "sets": [[0, False]]},
+    ])
+    def test_bools_rejected(self, obj):
+        with pytest.raises(FormatError):
+            family_from_json_dict(obj)
+        with pytest.raises(FormatError):
+            multiset_from_json_dict(obj)
 
     def test_bad_json_carries_position(self):
         with pytest.raises(FormatError, match="position"):

@@ -1,5 +1,5 @@
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -9,6 +9,7 @@ from nbhdrecon import (
     ResourceLimitError,
     contains_induced_c4,
 )
+from nbhdrecon import miner
 from nbhdrecon.miner import (
     PermutationWitness,
     check_collision_pair,
@@ -19,7 +20,7 @@ from nbhdrecon.miner import (
     witness_permutation,
 )
 
-from helpers import random_graph
+from helpers import nbhd_sets, oracle_least_witness, random_graph
 
 
 class TestEnumeration:
@@ -86,6 +87,41 @@ class TestFindCollisions:
         with pytest.raises(InputError):
             find_collisions(3, "degree-sequence")
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(InputError):
+            find_collisions(3, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs,chunk,cpus,workers", [
+        (100_000, 64, 4, 4),      # capped by the CPU count
+        (100_000, 512, 4, 2),     # capped by the number of chunks
+        (3, 64, 4, 3),
+        (2, 64, None, None),      # unknown CPU count: serial, no pool
+        (100_000, 1024, 4, None),  # a single chunk: serial, no pool
+    ])
+    def test_worker_count_clamped(self, monkeypatch, jobs, chunk, cpus, workers):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(miner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(miner, "_CHUNK", chunk)
+        monkeypatch.setattr(miner.os, "cpu_count", lambda: cpus)
+        groups = find_collisions(5, "closed-multiset", jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert len(groups) == 40
+
 
 class TestWitnessPermutation:
     def test_identity_on_equal_graphs(self):
@@ -131,6 +167,32 @@ class TestWitnessPermutation:
     def test_universe_mismatch_rejected(self):
         with pytest.raises(InputError):
             witness_permutation(Graph(3), Graph(4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_least_sigma_on_every_collision_pair(self, n):
+        pairs = 0
+        for grp in find_collisions(n, "closed-multiset"):
+            for g in grp.graphs:
+                for h in grp.graphs:
+                    if g != h:
+                        assert witness_permutation(g, h).sigma == \
+                            oracle_least_witness(g, h)
+                        pairs += 1
+        assert pairs == {4: 6, 5: 120}.get(n, 0)  # both orders
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_least_sigma_on_random_pairs(self, n):
+        rng = random.Random(n)
+        matched = 0
+        for _ in range(150):
+            g = random_graph(n, rng)
+            h = g if rng.random() < 0.2 else random_graph(n, rng)
+            w = witness_permutation(g, h)
+            same = Counter(nbhd_sets(g).values()) == Counter(nbhd_sets(h).values())
+            assert (w is not None) == same
+            assert (w.sigma if w else None) == oracle_least_witness(g, h)
+            matched += same
+        assert matched > 0
 
 
 class TestVerify:

@@ -353,3 +353,14 @@ class TestResultContract:
         result = from_support(closed_support(WORKED_EXAMPLE), "all", 4)
         assert result.nodes_explored > 0
         assert result.elapsed >= 0.0
+
+    @pytest.mark.parametrize("reconstruct,empty", [
+        (from_multiset, NeighborhoodMultiset(0)),
+        (from_support, SetFamily(0)),
+        (from_digital_convexity, SetFamily(0, [0])),
+    ])
+    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    def test_empty_universe_rejected(self, reconstruct, empty, mode):
+        # no graph has zero vertices, so every entry point refuses alike
+        with pytest.raises(InputError, match="nonempty universe"):
+            reconstruct(empty, mode)
