@@ -26,14 +26,7 @@ CONVEXITY_ENUMERATION_CEILING = LATTICE_CEILING
 
 def is_digitally_convex(g: Graph, s: VertexSet) -> bool:
     """True iff every vertex outside ``s`` has a private neighbor."""
-    if s.universe != g.n:
-        raise InputError(f"universe mismatch: set on {s.universe}, graph on {g.n}")
-    reach = g.closed_mask_of_set(s.bits)
-    outside = ((1 << g.n) - 1) & ~s.bits
-    for v in mask_members(outside):
-        if g.closed_mask(v) & ~reach == 0:
-            return False
-    return True
+    return convexity_witness(g, s).convex
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, VertexSet, mask_members
+from .graphs import Graph, VertexSet, as_int, mask_members
 
 #: Default cap on union-closure size; past this the instance is out of desk
 #: scale and we fail loudly rather than thrash.
@@ -37,7 +37,7 @@ def _coerce_mask(member, universe: int) -> int:
                 f"member universe {member.universe} != family universe {universe}"
             )
         return member.bits
-    mask = int(member)
+    mask = as_int(member, "family member")
     if mask < 0 or mask >> universe:
         raise InputError(f"mask 0x{mask:x} outside universe {universe}")
     return mask
@@ -53,6 +53,7 @@ class SetFamily:
     __slots__ = ("universe", "masks", "_mask_set")
 
     def __init__(self, universe: int, members: Iterable = ()):
+        universe = as_int(universe, "universe")
         if not 0 <= universe <= 64:
             raise InputError(f"universe must be in 0..64, got {universe}")
         self.universe = universe
@@ -100,12 +101,13 @@ class NeighborhoodMultiset:
     def __init__(self, universe: int, members: Iterable = ()):
         """``members`` is an iterable of sets (repeats encode multiplicity)
         or of ``(set, multiplicity)`` pairs."""
+        universe = as_int(universe, "universe")
         if not 0 <= universe <= 64:
             raise InputError(f"universe must be in 0..64, got {universe}")
         counts: dict[int, int] = {}
         for item in members:
-            if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], int):
-                member, mult = item
+            if isinstance(item, tuple) and len(item) == 2:
+                member, mult = item[0], as_int(item[1], "multiplicity")
                 if mult < 1:
                     raise InputError(f"multiplicity must be >= 1, got {mult}")
             else:
@@ -119,13 +121,6 @@ class NeighborhoodMultiset:
     @property
     def total_multiplicity(self) -> int:
         return sum(mult for _, mult in self.entries)
-
-    def multiplicity(self, s: VertexSet) -> int:
-        mask = _coerce_mask(s, self.universe)
-        for m, mult in self.entries:
-            if m == mask:
-                return mult
-        return 0
 
     def support(self) -> SetFamily:
         """Distinct members, multiplicities dropped."""

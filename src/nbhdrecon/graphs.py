@@ -9,6 +9,7 @@ per vertex.  Both are immutable, hence freely shareable.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -35,6 +36,15 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def as_int(x, what: str) -> int:
+    """``x`` as an int: numpy integers pass, bools and non-integers raise."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask with a bit set for every listed vertex."""
     m = 0
@@ -55,6 +65,9 @@ class VertexSet:
     universe: int
 
     def __post_init__(self):
+        if type(self.bits) is not int or type(self.universe) is not int:
+            object.__setattr__(self, "bits", as_int(self.bits, "bitmask"))
+            object.__setattr__(self, "universe", as_int(self.universe, "universe"))
         if not 0 <= self.universe <= MAX_UNIVERSE:
             raise InputError(f"universe must be in 0..{MAX_UNIVERSE}, got {self.universe}")
         if self.bits < 0 or self.bits >> self.universe:
@@ -112,16 +125,12 @@ class VertexSet:
     def __invert__(self) -> "VertexSet":
         return VertexSet(((1 << self.universe) - 1) & ~self.bits, self.universe)
 
-    complement = __invert__
-
     def __le__(self, other: "VertexSet") -> bool:
         self._check_same_universe(other)
         return self.bits & ~other.bits == 0
 
     def __lt__(self, other: "VertexSet") -> bool:
         return self <= other and self.bits != other.bits
-
-    issubset = __le__
 
     def __repr__(self) -> str:
         inner = "{" + ",".join(map(str, self.members())) + "}"
@@ -141,10 +150,12 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  labels: Sequence[Hashable] | None = None):
+        n = as_int(n, "vertex count")
         if not 1 <= n <= MAX_UNIVERSE:
             raise InputError(f"vertex count must be in 1..{MAX_UNIVERSE}, got {n}")
         adj = [0] * n
         for u, v in edges:
+            u, v = as_int(u, "edge end"), as_int(v, "edge end")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -159,10 +170,14 @@ class Graph:
         if labels is None:
             labels = tuple(range(self.n))
         else:
-            labels = tuple(labels)
+            try:
+                labels = tuple(labels)
+                distinct = len(set(labels))
+            except TypeError:
+                raise InputError("labels must be an iterable of hashable values") from None
             if len(labels) != self.n:
                 raise InputError(f"expected {self.n} labels, got {len(labels)}")
-            if len(set(labels)) != self.n:
+            if distinct != self.n:
                 raise InputError("labels must be distinct")
         self.labels = labels
 
@@ -211,10 +226,6 @@ class Graph:
         return cls._from_adj_unchecked(n, tuple(adj), labels)
 
     # -- vertex / label bookkeeping -------------------------------------
-
-    def label_of(self, v: int) -> Hashable:
-        self._check_vertex(v)
-        return self.labels[v]
 
     def id_of(self, label: Hashable) -> int:
         try:

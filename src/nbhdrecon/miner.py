@@ -99,11 +99,9 @@ def _fingerprint_keys_chunk(n: int, kind: str, lo: int, hi: int) -> np.ndarray:
             cols[:, u] |= bit << np.uint64(v)
             cols[:, v] |= bit << np.uint64(u)
             k += 1
-    if kind in ("closed-multiset", "closed-support"):
+    if kind != "open-multiset":
         for v in range(n):
             cols[:, v] |= np.uint64(1 << v)
-    elif kind != "open-multiset":
-        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
     cols.sort(axis=1)
     if kind == "closed-support":
         dup = np.zeros(cols.shape, dtype=bool)

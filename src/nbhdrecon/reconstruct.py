@@ -285,28 +285,16 @@ def from_support(f: SetFamily, mode: str = "all",
     Pipeline: twin classes from the family, quotient family over the class
     universe (one closed neighborhood per class, all multiplicities one),
     exact realization of the quotient, then blow-up of each class.  Every
-    candidate is re-verified against ``f``.
+    candidate is re-verified against ``f``.  The classes come from f's own
+    signatures, so the quotient cannot fail; the realizer rejects a vertex
+    in no member and a member count other than the class count.
     """
     t0 = time.perf_counter()
     _check_mode(mode, limit, f.universe)
-    n = f.universe
-    covered = 0
-    for mask in f.masks:
-        covered |= mask
-    if covered != (1 << n) - 1:
-        return _verdict(mode, [], False, 0, t0)
-
-    try:
-        classes = equivalence_classes(f)
-        quotient = quotient_family(f, classes)
-    except UnrealizableFamilyError:
-        return _verdict(mode, [], False, 0, t0)
-    m = len(classes.blocks)
-    if len(quotient) != m:
-        # Two members collapsed onto the same class set; no graph does that.
-        return _verdict(mode, [], False, 0, t0)
-
-    sub = from_multiset(NeighborhoodMultiset(m, quotient.masks), mode, limit)
+    classes = equivalence_classes(f)
+    quotient = quotient_family(f, classes)
+    sub = from_multiset(NeighborhoodMultiset(len(classes.blocks), quotient.masks),
+                        mode, limit)
     graphs = []
     for q in sub.graphs:
         h = _expand_blocks(q, classes)
@@ -320,26 +308,29 @@ def from_support(f: SetFamily, mode: str = "all",
 # ---------------------------------------------------------------------------
 
 
-def _dc_realize(u: SetFamily, verts: int, limit: int,
-                stats: dict) -> tuple[list[dict[int, int]], bool]:
+def _dc_realize(u: SetFamily, verts: int,
+                limit: int) -> tuple[list[dict[int, int]], bool, int]:
     """Realize a family of neighborhood unions restricted to ``verts``.
 
     Returns adjacency maps keyed by original vertex ids (only bits inside
-    ``verts`` are used) plus a truncation flag.  Recursion: find base
-    vertices S from the union family; if S is everything, the irreducible
-    members are exactly the distinct closed neighborhoods and the support
-    pipeline finishes; otherwise realize the restriction to S and extend,
+    ``verts`` are used), a truncation flag and the realizer's node count.
+    Recursion: find base vertices S from the union family; if S is
+    everything, the irreducible members are the distinct closed
+    neighborhoods of a twin-free graph (the removal pass drops the higher
+    of two twins and every vertex in no member), which the multiset
+    realizer finishes; otherwise realize the restriction to S and extend,
     writing each removed vertex's neighborhood as the neighborhood of its
-    canonical base-vertex set.
+    canonical base-vertex set.  The extension keeps the sub-realization on
+    S, so no graph comes out twice.
     """
     vlist = mask_members(verts)
     if len(vlist) == 1:
-        return [{vlist[0]: 0}], False
+        return [{vlist[0]: 0}], False, 0
 
     sig = incidence_signatures(u, verts)
     base = _base_vertices_from_signatures(sig, vlist)
     if not base:
-        return [], False
+        return [], False, 0
     s_mask = mask_of(base)
 
     if s_mask == verts:
@@ -354,16 +345,15 @@ def _dc_realize(u: SetFamily, verts: int, limit: int,
         # always enumerate here: a lone candidate chosen by a first-fit
         # search could fail the caller's re-verification while another
         # candidate would pass
-        sub = from_support(SetFamily(len(vlist), compacted), "all", limit)
-        stats["nodes"] += sub.nodes_explored
+        sub = from_multiset(NeighborhoodMultiset(len(vlist), compacted), "all", limit)
         out = []
         for h in sub.graphs:
             out.append({v: mask_of(vlist[w] for w in mask_members(h.adjacency_mask(i)))
                         for i, v in enumerate(vlist)})
-        return out, sub.truncated
+        return out, sub.truncated, sub.nodes_explored
 
     u_restricted = SetFamily(u.universe, (m & s_mask for m in u.masks))
-    sub_adjs, truncated = _dc_realize(u_restricted, s_mask, limit, stats)
+    sub_adjs, truncated, nodes = _dc_realize(u_restricted, s_mask, limit)
 
     canonical: dict[int, int] = {}
     for v in vlist:
@@ -393,7 +383,7 @@ def _dc_realize(u: SetFamily, verts: int, limit: int,
                     row |= 1 << w
             adj[v] = row
         out.append(adj)
-    return out, truncated
+    return out, truncated, nodes
 
 
 def from_digital_convexity(d: SetFamily, mode: str = "all",
@@ -418,22 +408,16 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     if not check_convexity_axioms(d):
         return _verdict(mode, [], False, 0, t0)
 
-    stats = {"nodes": 0}
-    adjs, truncated = _dc_realize(complement_family(d), (1 << n) - 1, limit, stats)
+    adjs, truncated, nodes = _dc_realize(complement_family(d), (1 << n) - 1, limit)
 
     graphs = []
-    seen = set()
     for adj_map in adjs:
-        adj = tuple(adj_map[v] for v in range(n))
-        if adj in seen:
-            continue
-        seen.add(adj)
-        h = Graph._from_adj_unchecked(n, adj)
+        h = Graph._from_adj_unchecked(n, tuple(adj_map[v] for v in range(n)))
         if realizes(h, d, "convexity"):
             graphs.append(h)
             if mode == "first":
                 break
-    return _verdict(mode, graphs, truncated, stats["nodes"], t0)
+    return _verdict(mode, graphs, truncated, nodes, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,23 @@ def oracle_is_convex(g: Graph, members) -> bool:
     return True
 
 
+def oracle_support(g: Graph) -> frozenset:
+    """Distinct closed neighborhoods as a frozenset of frozensets."""
+    return frozenset(nbhd_sets(g).values())
+
+
+def oracle_convexity(g: Graph) -> frozenset:
+    """Every digitally convex set, by the definition over all subsets."""
+    nb = nbhd_sets(g)
+    out = set()
+    for pick in range(1 << g.n):
+        s = {v for v in range(g.n) if (pick >> v) & 1}
+        reach = frozenset().union(*(nb[v] for v in s))
+        if all(nb[v] - reach for v in range(g.n) if v not in s):
+            out.add(frozenset(s))
+    return frozenset(out)
+
+
 def oracle_union_closure(members: list[frozenset]) -> set[frozenset]:
     """All unions of subfamilies, via explicit subset enumeration."""
     out = set()

@@ -1,6 +1,8 @@
-"""Smoke test: every narrative script in demos/ runs to completion."""
+"""Smoke tests: every narrative script in demos/ runs to completion, and so
+does the README's Python quick start."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,10 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,8 @@ from nbhdrecon import (
     Graph,
     INFINITE_GIRTH,
     InputError,
+    NeighborhoodMultiset,
+    SetFamily,
     UnsupportedSizeError,
     VertexSet,
     blow_up,
@@ -297,3 +300,31 @@ class TestConstructionInvariants:
             Graph(0)
         with pytest.raises(InputError):
             Graph(65)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SetFamily(3, [True]),
+        lambda: SetFamily(3, [2.9]),
+        lambda: SetFamily(8, ["5"]),
+        lambda: SetFamily(True, [1]),
+        lambda: NeighborhoodMultiset(3, [(1, True)]),
+        lambda: Graph(True),
+        lambda: Graph(3, [(True, 2)]),
+        lambda: Graph(3, [(0, 1.0)]),
+        lambda: Graph(3, labels=5),
+        lambda: Graph(3, labels=[[1], [2], [3]]),
+        lambda: VertexSet(1, True),
+        lambda: VertexSet(1.5, 3),
+        lambda: VertexSet(np.True_, 3),
+    ], ids=["family-bool", "family-float", "family-str", "family-universe-bool",
+            "multiplicity-bool", "n-bool", "edge-bool", "edge-float", "labels-int",
+            "labels-unhashable", "universe-bool", "bits-float", "bits-numpy-bool"])
+    def test_bools_and_non_integers_rejected(self, build):
+        with pytest.raises(InputError):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        one, three = np.int64(1), np.uint8(3)
+        assert SetFamily(three, [np.uint32(5), one]) == SetFamily(3, [5, 1])
+        assert NeighborhoodMultiset(3, [(one, np.int32(2))]) == NeighborhoodMultiset(3, [1, 1])
+        assert Graph(three, [(np.int64(0), np.int16(2))]) == Graph(3, [(0, 2)])
+        assert VertexSet(np.int64(5), three).members() == (0, 2)

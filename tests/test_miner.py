@@ -6,8 +6,10 @@ import pytest
 from nbhdrecon import (
     Graph,
     InputError,
+    NeighborhoodMultiset,
     ResourceLimitError,
     contains_induced_c4,
+    from_multiset,
 )
 from nbhdrecon import miner
 from nbhdrecon.miner import (
@@ -70,6 +72,25 @@ class TestFindCollisions:
             expected = {fp: tuple(gs) for fp, gs in reference.items() if len(gs) >= 2}
             got = {grp.fingerprint: grp.graphs for grp in find_collisions(n, kind)}
             assert got == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_open_groups_are_complement_images_of_closed_groups(self, n):
+        # N_G[v] = V minus the open neighborhood of v in the complement of G
+        def complement(g):
+            return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if not g.has_edge(u, v)])
+        closed = {frozenset(map(complement, grp.graphs))
+                  for grp in find_collisions(n, "closed-multiset")}
+        opened = {frozenset(grp.graphs) for grp in find_collisions(n, "open-multiset")}
+        assert closed == opened
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_closed_groups_are_realizer_solution_sets(self, n):
+        for grp in find_collisions(n, "closed-multiset"):
+            result = from_multiset(NeighborhoodMultiset(n, grp.fingerprint), "all",
+                                   len(grp.graphs) + 1)
+            assert result.verdict == "ambiguous" and not result.truncated
+            assert Counter(result.graphs) == Counter(grp.graphs)
 
     def test_group_members_share_fingerprint(self):
         for grp in find_collisions(5, "closed-multiset"):

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import defaultdict
 
 import pytest
 
@@ -19,6 +20,8 @@ from nbhdrecon import (
     neighborhood_multiset,
     realizes,
 )
+from nbhdrecon.graphs import mask_of
+from nbhdrecon.miner import enumerate_labeled_graphs
 from nbhdrecon.reconstruct import equivalence_classes, quotient_family
 
 from helpers import (
@@ -26,6 +29,8 @@ from helpers import (
     WORKED_EXAMPLE,
     WORKED_EXAMPLE_EDGES,
     brute_force_multiset_realizations,
+    oracle_convexity,
+    oracle_support,
     random_c4_free_graph,
     random_graph,
     sets1,
@@ -35,6 +40,31 @@ from helpers import (
 
 def edges1(g):
     return {tuple(sorted((u + 1, v + 1))) for u, v in g.edges()}
+
+
+@pytest.fixture(scope="module")
+def oracle_groups():
+    """Every labeled graph at n <= 5 grouped by the set-based oracles:
+    ``kind -> {(n, invariant): graphs}`` for the support and the convexity."""
+    groups = {"support": defaultdict(set), "convexity": defaultdict(set)}
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            groups["support"][n, oracle_support(g)].add(g)
+            groups["convexity"][n, oracle_convexity(g)].add(g)
+    return groups
+
+
+RECONSTRUCT = {"support": from_support, "convexity": from_digital_convexity}
+
+
+def reconstruct_group(kind, n, key, group):
+    """Reconstruct the family ``key`` and check that it gives exactly
+    ``group``, untruncated and without duplicates."""
+    result = RECONSTRUCT[kind](SetFamily(n, map(mask_of, key)), "all", 1024)
+    assert not result.truncated
+    assert len(set(result.graphs)) == len(result.graphs)
+    assert set(result.graphs) == group
+    return result
 
 
 class TestEquivalenceClasses:
@@ -226,6 +256,19 @@ class TestFromSupport:
         assert result.verdict == "ambiguous"
         assert set(result.graphs) == {Graph(4, g.edges()) for g in c4_labelings}
 
+    @pytest.mark.parametrize("f", [
+        SetFamily(3, [0b011]),
+        SetFamily(4, [0b0001, 0b0010, 0b0101, 0b0110]),
+        SetFamily(2, [0b01, 0b10, 0b11]),
+        SetFamily(3, [0b011, 0b110]),
+    ], ids=["uncovered-vertex", "uncovered-vertex-counts-agree",
+            "more-members-than-classes", "fewer-members-than-classes"])
+    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    def test_malformed_family_rejected_before_search(self, f, mode):
+        result = from_support(f, mode)
+        assert (result.verdict, result.truncated, result.nodes_explored) == \
+            ("infeasible", False, 0)
+
     def test_twin_rich_roundtrips(self):
         rng = random.Random(404)
         for _ in range(30):
@@ -310,6 +353,38 @@ class TestFromDigitalConvexity:
         assert len(d) == 5632
         assert result.verdict == "unique" and result.graph == g
         assert elapsed < 2.0, f"n=16 round trip took {elapsed:.2f}s"
+
+
+class TestExhaustiveOracles:
+    """Both set-family paths against brute force over every labeled graph."""
+
+    @pytest.mark.parametrize("kind", ["support", "convexity"])
+    def test_every_invariant_gives_its_group(self, oracle_groups, kind):
+        groups = oracle_groups[kind]
+        assert sum(1 for n, _ in groups if n == 5) == 954
+        for (n, key), group in groups.items():
+            result = reconstruct_group(kind, n, key, group)
+            assert result.verdict == ("unique" if len(group) == 1 else "ambiguous")
+
+    def test_random_families(self, oracle_groups):
+        # raw random families for the support; for the convexity their
+        # intersection closure with the empty set and V, so that most pass
+        # the axiom check and reach the recursion
+        rng = random.Random(2000)
+        infeasible = dict.fromkeys(RECONSTRUCT, 0)
+        for _ in range(2000):
+            n = rng.randint(1, 4)
+            picks = [frozenset(v for v in range(n) if (m >> v) & 1)
+                     for m in rng.sample(range(1 << n), rng.randint(0, n + 1))]
+            closed = {frozenset(), frozenset(range(n)), *picks}
+            while (meets := {a & b for a in closed for b in closed} - closed):
+                closed |= meets
+            for kind, key in (("support", frozenset(picks)), ("convexity", frozenset(closed))):
+                group = oracle_groups[kind].get((n, key), set())
+                reconstruct_group(kind, n, key, group)
+                infeasible[kind] += not group
+        # about 1800 and 900 of them: both verdicts are exercised
+        assert all(0 < count < 2000 for count in infeasible.values())
 
 
 class TestRealizes:
