@@ -77,7 +77,13 @@ class VertexSet:
 
     @classmethod
     def from_members(cls, members: Iterable[int], universe: int) -> "VertexSet":
-        return cls(mask_of(members), universe)
+        bits = 0
+        for v in members:
+            v = as_int(v, "member")
+            if v < 0:
+                raise InputError(f"member {v} is negative")
+            bits |= 1 << v
+        return cls(bits, universe)
 
     @classmethod
     def empty(cls, universe: int) -> "VertexSet":
@@ -185,6 +191,7 @@ class Graph:
     def from_adjacency_masks(cls, masks: Sequence[int],
                              labels: Sequence[Hashable] | None = None) -> "Graph":
         """Build a graph from per-vertex neighbor masks, validating symmetry."""
+        masks = tuple(as_int(x, "adjacency mask") for x in masks)
         n = len(masks)
         if not 1 <= n <= MAX_UNIVERSE:
             raise InputError(f"vertex count must be in 1..{MAX_UNIVERSE}, got {n}")
@@ -197,7 +204,7 @@ class Graph:
             for v in mask_members(masks[u]):
                 if not (masks[v] >> u) & 1:
                     raise InputError(f"adjacency not symmetric on pair ({u},{v})")
-        return cls._from_adj_unchecked(n, tuple(masks), labels)
+        return cls._from_adj_unchecked(n, masks, labels)
 
     @classmethod
     def _from_adj_unchecked(cls, n: int, adj: tuple[int, ...],
@@ -213,6 +220,10 @@ class Graph:
     def from_edge_mask(cls, n: int, edge_mask: int,
                        labels: Sequence[Hashable] | None = None) -> "Graph":
         """Decode an edge bitmask over pairs (u,v), u<v, in lexicographic order."""
+        if type(n) is not int or type(edge_mask) is not int:
+            n, edge_mask = as_int(n, "vertex count"), as_int(edge_mask, "edge mask")
+        if not 1 <= n <= MAX_UNIVERSE:
+            raise InputError(f"vertex count must be in 1..{MAX_UNIVERSE}, got {n}")
         adj = [0] * n
         k = 0
         for u in range(n):
@@ -241,6 +252,8 @@ class Graph:
         return VertexSet.full(self.n)
 
     def _check_vertex(self, v: int) -> None:
+        if type(v) is not int:
+            as_int(v, "vertex id")
         if not 0 <= v < self.n:
             raise InputError(f"vertex id {v} out of range for n={self.n}")
 

@@ -36,7 +36,7 @@ from .families import (
     neighborhood_multiset,
     _base_vertices_from_signatures,
 )
-from .graphs import Graph, VertexSet, mask_members, mask_of
+from .graphs import Graph, VertexSet, as_int, mask_members, mask_of
 
 #: Default cap on the number of realizations collected in ``all`` mode.
 DEFAULT_SOLUTION_LIMIT = 64
@@ -57,11 +57,12 @@ class EquivalenceClasses:
 class ReconstructionResult:
     """Outcome of a reconstruction query.
 
-    ``graphs`` lists the realizations found (possibly cut off at the search
-    limit, in which case ``truncated`` is set and the verdict stays
-    ``ambiguous`` even for a single graph).  In ``first`` mode a lone
-    solution is reported as ``unique`` without certifying uniqueness; use
-    ``all`` mode when the input is not known to be uniquely realizable.
+    ``graphs`` lists the realizations found, sorted by their tuples of
+    adjacency masks.  ``truncated`` means the search stopped at the limit
+    with more realizations left; the verdict then stays ``ambiguous`` even
+    for a single graph.  In ``first`` mode a lone solution is reported as
+    ``unique`` without certifying uniqueness; use ``all`` mode (any limit)
+    when the input is not known to be uniquely realizable.
     An ``infeasible`` verdict with ``truncated`` set means the search hit
     the limit before anything verified, so infeasibility is not certified
     either; rerun with a higher limit.
@@ -94,19 +95,23 @@ def _verdict(mode: str, graphs: list[Graph], truncated: bool,
         return ReconstructionResult("infeasible", (), truncated, nodes, elapsed)
     if mode == "first":
         return ReconstructionResult("unique", (graphs[0],), truncated, nodes, elapsed)
+    # canonical order, so that answers do not depend on the search order
+    graphs = tuple(sorted(graphs, key=lambda h: h._adj))
     if len(graphs) == 1 and not truncated:
-        return ReconstructionResult("unique", tuple(graphs), False, nodes, elapsed)
-    return ReconstructionResult("ambiguous", tuple(graphs), truncated, nodes, elapsed)
+        return ReconstructionResult("unique", graphs, False, nodes, elapsed)
+    return ReconstructionResult("ambiguous", graphs, truncated, nodes, elapsed)
 
 
 def _check_mode(mode: str, limit: int, universe: int) -> int:
+    """Validate the shared arguments; return how many solutions the search
+    looks for (one past ``limit``, so that reaching it proves truncation)."""
     if mode not in _MODES:
         raise InputError(f"mode must be one of {_MODES}, got {mode!r}")
-    if limit < 1:
+    if as_int(limit, "limit") < 1:
         raise InputError(f"limit must be positive, got {limit}")
     if universe < 1:
         raise InputError("reconstruction needs a nonempty universe")
-    return 1 if mode == "first" else limit
+    return 1 if mode == "first" else limit + 1
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +185,23 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
                   limit: int = DEFAULT_SOLUTION_LIMIT) -> ReconstructionResult:
     """Find labeled graphs whose closed-neighborhood multiset equals ``m``.
 
-    Backtracking assignment: each vertex v picks one member containing v,
-    respecting multiplicities; the choice M_v pins deg(v) = |M_v| - 1 and
-    forces adjacency u~v iff u in M_v and v in M_u.  A partial assignment is
-    extended only while membership stays mutual (u in M_v iff v in M_u), so
-    completed assignments are realizations by construction; they are still
-    re-verified before being returned.
+    Each vertex v takes one entry M_v of the multiset that contains v,
+    respecting multiplicities; the choice pins N[v] = M_v, so u~v needs
+    u in M_v exactly when v in M_u.  The search is forward checking with
+    the fewest-candidates-first rule (Haralick & Elliott 1980): every
+    unplaced vertex u keeps a domain, the bitmask of entries it can still
+    take, starting as ``inc[u]``, the entries that contain u.  Placing v on
+    M narrows each domain to the entries that contain v when u is in M and
+    to those that miss v otherwise; an entry whose multiplicity runs out
+    leaves every domain, and an empty domain prunes the branch.  The next
+    vertex placed is the one with the smallest domain, the lowest id on
+    ties.  ``nodes_explored`` counts the placements that survive this
+    check.  Completed assignments are realizations by construction; they
+    are still re-verified before being returned.
+
+    ``all`` and ``count`` look for ``limit + 1`` solutions and return at
+    most ``limit``, so ``truncated`` means more realizations exist than
+    were returned.
     """
     t0 = time.perf_counter()
     cap = _check_mode(mode, limit, m.universe)
@@ -200,60 +216,51 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
 
     entry_masks = [mask for mask, _ in m.entries]
     remaining = [mult for _, mult in m.entries]
-    candidates: list[tuple[int, ...]] = []
-    for v in range(n):
-        cand = tuple(i for i, mask in enumerate(entry_masks) if (mask >> v) & 1)
-        if not cand:
-            return _verdict(mode, [], False, nodes, t0)
-        candidates.append(cand)
+    inc = [0] * n
+    for j, mask in enumerate(entry_masks):
+        for v in mask_members(mask):
+            inc[v] |= 1 << j
+    if not all(inc):
+        return _verdict(mode, [], False, nodes, t0)
 
-    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
     assigned = [0] * n
-    placed: list[int] = []
     solutions: list[Graph] = []
-    truncated = False
 
-    def walk(i: int) -> bool:
-        """Depth-first over assignments; True means the cap cut the search."""
-        nonlocal nodes, truncated
-        if i == n:
+    def walk(free: tuple[int, ...], doms: list[int]) -> bool:
+        """Depth-first over the unplaced vertices ``free`` (ascending) and
+        their domains; True means the cap cut the search."""
+        nonlocal nodes
+        if not free:
             adj = tuple(assigned[v] & ~(1 << v) for v in range(n))
             h = Graph._from_adj_unchecked(n, adj)
             if realizes(h, m, "multiset"):
                 solutions.append(h)
-                if len(solutions) >= cap:
-                    truncated = True
-                    return True
+                return len(solutions) >= cap
             return False
-        v = order[i]
-        vbit = 1 << v
-        for j in candidates[v]:
-            if remaining[j] == 0:
-                continue
+        sizes = list(map(int.bit_count, doms))
+        k = sizes.index(min(sizes))
+        v, dom = free[k], doms[k]
+        free, doms = free[:k] + free[k + 1:], doms[:k] + doms[k + 1:]
+        while dom:
+            low = dom & -dom
+            dom ^= low
+            j = low.bit_length() - 1
             mask = entry_masks[j]
-            ok = True
-            for u in placed:
-                if bool((mask >> u) & 1) != bool(assigned[u] & vbit):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nodes += 1
-            assigned[v] = mask
             remaining[j] -= 1
-            placed.append(v)
-            stop = walk(i + 1)
-            placed.pop()
+            keep = ~low if remaining[j] == 0 else -1
+            keep_in, keep_out = keep & inc[v], keep & ~inc[v]
+            narrowed = [d & (keep_in if (mask >> u) & 1 else keep_out)
+                        for u, d in zip(free, doms)]
+            if all(narrowed):
+                nodes += 1
+                assigned[v] = mask
+                if walk(free, narrowed):
+                    return True
             remaining[j] += 1
-            assigned[v] = 0
-            if stop:
-                return True
         return False
 
-    walk(0)
-    if len(solutions) < cap:
-        truncated = False  # search ran to completion
-    return _verdict(mode, solutions, truncated, nodes, t0)
+    walk(tuple(range(n)), inc)
+    return _verdict(mode, solutions[:limit], len(solutions) == cap, nodes, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -315,9 +315,18 @@ class TestConstructionInvariants:
         lambda: VertexSet(1, True),
         lambda: VertexSet(1.5, 3),
         lambda: VertexSet(np.True_, 3),
+        lambda: VertexSet.from_members([True], 2),
+        lambda: VertexSet.from_members([-1], 2),
+        lambda: Graph.from_edge_mask(True, 0),
+        lambda: Graph.from_edge_mask(3, 1.0),
+        lambda: Graph.from_adjacency_masks([2.0, 1]),
+        lambda: Graph(3).has_edge(0, 1.5),
+        lambda: Graph(3).has_edge(True, 2),
     ], ids=["family-bool", "family-float", "family-str", "family-universe-bool",
             "multiplicity-bool", "n-bool", "edge-bool", "edge-float", "labels-int",
-            "labels-unhashable", "universe-bool", "bits-float", "bits-numpy-bool"])
+            "labels-unhashable", "universe-bool", "bits-float", "bits-numpy-bool",
+            "member-bool", "member-negative", "edge-mask-n-bool", "edge-mask-float",
+            "adjacency-float", "vertex-float", "vertex-bool"])
     def test_bools_and_non_integers_rejected(self, build):
         with pytest.raises(InputError):
             build()
@@ -328,3 +337,7 @@ class TestConstructionInvariants:
         assert NeighborhoodMultiset(3, [(one, np.int32(2))]) == NeighborhoodMultiset(3, [1, 1])
         assert Graph(three, [(np.int64(0), np.int16(2))]) == Graph(3, [(0, 2)])
         assert VertexSet(np.int64(5), three).members() == (0, 2)
+        assert VertexSet.from_members([np.int64(2)], three) == VertexSet(4, 3)
+        assert Graph.from_edge_mask(three, np.uint64(1)) == Graph(3, [(0, 1)])
+        assert Graph.from_adjacency_masks([np.int64(2), one]) == Graph(2, [(0, 1)])
+        assert Graph(3, [(0, 1)]).has_edge(np.int64(0), np.uint8(1))

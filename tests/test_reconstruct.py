@@ -1,6 +1,6 @@
 import random
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -20,7 +20,7 @@ from nbhdrecon import (
     neighborhood_multiset,
     realizes,
 )
-from nbhdrecon.graphs import mask_of
+from nbhdrecon.graphs import mask_members, mask_of
 from nbhdrecon.miner import enumerate_labeled_graphs
 from nbhdrecon.reconstruct import equivalence_classes, quotient_family
 
@@ -29,6 +29,7 @@ from helpers import (
     WORKED_EXAMPLE,
     WORKED_EXAMPLE_EDGES,
     brute_force_multiset_realizations,
+    nbhd_sets,
     oracle_convexity,
     oracle_support,
     random_c4_free_graph,
@@ -55,6 +56,22 @@ def oracle_groups():
 
 
 RECONSTRUCT = {"support": from_support, "convexity": from_digital_convexity}
+
+
+def oracle_multiset_key(n, sets):
+    """The multiset of ``sets`` in the grouping's key form."""
+    return n, frozenset(Counter(sets).items())
+
+
+@pytest.fixture(scope="module")
+def multiset_groups():
+    """Every labeled graph at n <= 6 grouped by its closed neighborhoods as
+    plain frozensets, counted with multiplicity."""
+    groups = defaultdict(set)
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n):
+            groups[oracle_multiset_key(n, nbhd_sets(g).values())].add(g)
+    return groups
 
 
 def reconstruct_group(kind, n, key, group):
@@ -188,6 +205,60 @@ class TestFromMultiset:
         result = from_multiset(m, "all", limit=1)
         assert result.verdict == "ambiguous"
         assert result.truncated and result.solution_count == 1
+
+    @pytest.mark.parametrize("g", [P3, Graph(1)], ids=["P3", "K1"])
+    def test_limit_one_certifies_unique(self, g):
+        # the search looks one solution past the limit, so a lone
+        # realization found with limit 1 is certified
+        result = from_multiset(neighborhood_multiset(g), "all", 1)
+        assert (result.verdict, result.truncated, result.graphs) == ("unique", False, (g,))
+
+    def test_exactly_limit_realizations_is_complete(self, c4_labelings):
+        result = from_multiset(neighborhood_multiset(c4_labelings[0]), "all", 3)
+        assert result.verdict == "ambiguous"
+        assert not result.truncated
+        assert set(result.graphs) == {Graph(4, g.edges()) for g in c4_labelings}
+
+    def test_random_multisets_give_their_group(self, multiset_groups):
+        # perturbed closed multisets (one vertex moved from one member to
+        # another, which keeps the size and the degree sum) and uniform
+        # random ones, against the brute-force grouping at n <= 6
+        rng = random.Random(606)
+        verdicts = Counter()
+        for i in range(1500):
+            n = rng.randint(1, 6)
+            if i % 2:
+                masks = [rng.getrandbits(n) for _ in range(n)]
+            else:
+                g = random_graph(n, rng)
+                masks = [g.closed_mask(v) for v in range(n)]
+                if n > 1:
+                    a, b = rng.sample(range(n), 2)
+                    movable = mask_members(masks[a] & ~masks[b])
+                    if movable:
+                        x = rng.choice(movable)
+                        masks[a] ^= 1 << x
+                        masks[b] |= 1 << x
+            key = oracle_multiset_key(
+                n, (frozenset(mask_members(mask)) for mask in masks))
+            group = multiset_groups.get(key, set())
+            result = from_multiset(NeighborhoodMultiset(n, masks), "all", 1024)
+            assert not result.truncated
+            assert set(result.graphs) == group
+            assert result.verdict == {0: "infeasible", 1: "unique"}.get(len(group), "ambiguous")
+            verdicts[result.verdict] += 1
+        assert len(verdicts) == 3  # every verdict is exercised
+
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_dense_all_mode_time_bound(self, n):
+        # the static-order search needed 9 s at n=24 and did not finish
+        # within minutes at n=40
+        g = random_graph(n, random.Random(1), 0.9)
+        t0 = time.perf_counter()
+        result = from_multiset(neighborhood_multiset(g), "all")
+        elapsed = time.perf_counter() - t0
+        assert not result.truncated and g in result.graphs
+        assert elapsed < 5.0, f"G({n}, 0.9) took {elapsed:.2f}s"
 
     def test_every_returned_graph_realizes_fuzzed_inputs(self):
         rng = random.Random(303)
@@ -428,6 +499,32 @@ class TestResultContract:
         result = from_support(closed_support(WORKED_EXAMPLE), "all", 4)
         assert result.nodes_explored > 0
         assert result.elapsed >= 0.0
+
+    @pytest.mark.parametrize("reconstruct,inv", [
+        (from_multiset, neighborhood_multiset(P3)),
+        (from_support, closed_support(P3)),
+        (from_digital_convexity, digital_convexity(P3)),
+    ])
+    @pytest.mark.parametrize("limit", [True, 1.5], ids=["bool", "float"])
+    def test_non_integer_limit_rejected(self, reconstruct, inv, limit):
+        with pytest.raises(InputError, match="limit"):
+            reconstruct(inv, "all", limit)
+
+    @pytest.mark.parametrize("reconstruct,inv", [
+        (from_multiset, neighborhood_multiset(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))),
+        (from_multiset, neighborhood_multiset(Graph(6, [(0, 3), (1, 4), (2, 5), (0, 4),
+                                                        (1, 5), (2, 3), (0, 5), (1, 3),
+                                                        (2, 4)]))),
+        (from_support, closed_support(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))),
+        (from_digital_convexity, digital_convexity(Graph(6, [(0, 3), (1, 4), (2, 5),
+                                                             (0, 4), (1, 5), (2, 3),
+                                                             (0, 5), (1, 3), (2, 4)]))),
+    ], ids=["c4-multiset", "k33-multiset", "c4-support", "k33-convexity"])
+    def test_graphs_in_canonical_order(self, reconstruct, inv):
+        result = reconstruct(inv, "all", 1024)
+        assert not result.truncated and result.solution_count > 1
+        keys = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in result.graphs]
+        assert keys == sorted(keys)
 
     @pytest.mark.parametrize("reconstruct,empty", [
         (from_multiset, NeighborhoodMultiset(0)),
