@@ -26,7 +26,6 @@ from .graphs import (
     INFINITE_GIRTH,
     MAX_UNIVERSE,
     VertexSet,
-    blow_up,
     contains_induced_c4,
     girth,
     induced_subgraph,

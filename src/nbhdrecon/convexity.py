@@ -80,13 +80,12 @@ def digital_convexity(g: Graph) -> SetFamily:
     seen = np.zeros(1 << n, dtype=bool)
     seen[reach] = True
     full = (1 << n) - 1
-    return SetFamily(n, (full ^ np.flatnonzero(seen)).tolist())
+    return SetFamily(n, full ^ np.flatnonzero(seen))
 
 
 def complement_family(f: SetFamily) -> SetFamily:
     """Member-wise complement within the universe; involutive."""
-    full = (1 << f.universe) - 1
-    return SetFamily(f.universe, (full & ~m for m in f.masks))
+    return SetFamily(f.universe, np.uint64((1 << f.universe) - 1) ^ f.mask_array)
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,6 +3,9 @@
 A :class:`SetFamily` is a deduplicated, canonically ordered collection of
 vertex subsets over one universe.  A :class:`NeighborhoodMultiset` keeps
 multiplicities and represents the closed (or open) neighborhoods of a graph.
+The canonical order is by size, then by the sorted member tuples; both
+classes get it from one numpy kernel, :func:`_canonical_order`, over a uint64
+array of the masks (see there for why the bit reversal gives that order).
 
 The inclusion and equality tests ``cn_subset`` / ``cn_equal`` decide
 ``N[A] <= N[B]`` and ``N[A] == N[B]`` from a family alone: the containment
@@ -26,8 +29,26 @@ from .graphs import Graph, VertexSet, as_int, mask_members
 UNION_CLOSURE_CEILING = 1 << 20
 
 
-def _canonical_mask_key(mask: int) -> tuple:
-    return (mask.bit_count(), mask_members(mask))
+#: Per-byte popcount and bit reversal tables (``np.bitwise_count`` needs
+#: numpy 2.0; the declared floor is 1.24).
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_REVERSE8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def _canonical_order(masks: np.ndarray) -> np.ndarray:
+    """Indices that sort distinct uint64 masks by (size, sorted members).
+
+    Of two sets of one size, the one holding the smallest element of their
+    symmetric difference has the smaller member tuple.  Reversing the 64
+    bits turns that element into the highest differing bit, so within a
+    size the order is the reversed masks, descending.  Popcount and reversal
+    go byte by byte through lookup tables; reversing the little-endian byte
+    order and the bits of each byte reverses the word.
+    """
+    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    size = _POPCOUNT8.take(octets).sum(axis=1)
+    reversed_ = _REVERSE8.take(octets[:, ::-1]).view("<u8").ravel()
+    return np.lexsort((~reversed_, size))
 
 
 def _coerce_mask(member, universe: int) -> int:
@@ -43,23 +64,47 @@ def _coerce_mask(member, universe: int) -> int:
     return mask
 
 
+def _distinct_masks(members, universe: int) -> np.ndarray:
+    """The distinct member masks as a uint64 array, each checked against
+    ``universe``.
+
+    A 1-D integer array is sorted and checked through its extremes;
+    anything else goes member by member through :func:`_coerce_mask`.
+    """
+    if isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "iu":
+        if not members.size:
+            return members.astype(np.uint64)
+        # np.unique is several times slower than this sort on these sizes
+        arr = np.sort(members)
+        _coerce_mask(int(arr[0]), universe)
+        _coerce_mask(int(arr[-1]), universe)
+        arr = arr.astype(np.uint64, copy=False)
+        return arr[np.append(True, arr[1:] != arr[:-1])]
+    masks = {_coerce_mask(m, universe) for m in members}
+    return np.fromiter(masks, dtype=np.uint64, count=len(masks))
+
+
 class SetFamily:
     """Finite set of vertex subsets over one universe, without multiplicity.
 
     Members are stored canonically ordered by (size, lexicographic members)
-    so iteration and serialization are deterministic.
+    so iteration and serialization are deterministic.  ``masks`` holds them
+    as ints and ``mask_array`` as a read-only uint64 array, in that order.
     """
 
-    __slots__ = ("universe", "masks", "_mask_set")
+    __slots__ = ("universe", "masks", "mask_array", "_mask_set")
 
     def __init__(self, universe: int, members: Iterable = ()):
         universe = as_int(universe, "universe")
         if not 0 <= universe <= 64:
             raise InputError(f"universe must be in 0..64, got {universe}")
         self.universe = universe
-        masks = {_coerce_mask(m, universe) for m in members}
-        self.masks = tuple(sorted(masks, key=_canonical_mask_key))
-        self._mask_set = frozenset(masks)
+        arr = _distinct_masks(members, universe)
+        arr = arr[_canonical_order(arr)]
+        arr.flags.writeable = False
+        self.mask_array = arr
+        self.masks = tuple(arr.tolist())
+        self._mask_set = frozenset(self.masks)
 
     @property
     def members(self) -> tuple[VertexSet, ...]:
@@ -115,8 +160,9 @@ class NeighborhoodMultiset:
             mask = _coerce_mask(member, universe)
             counts[mask] = counts.get(mask, 0) + mult
         self.universe = universe
-        self.entries = tuple(sorted(counts.items(),
-                                    key=lambda kv: _canonical_mask_key(kv[0])))
+        masks = np.fromiter(counts, dtype=np.uint64, count=len(counts))
+        self.entries = tuple((m, counts[m])
+                             for m in masks[_canonical_order(masks)].tolist())
 
     @property
     def total_multiplicity(self) -> int:
@@ -336,12 +382,15 @@ def incidence_signatures(gen: SetFamily, verts_mask: int | None = None) -> dict[
     into single word operations: ``sig(u) subset-of sig(v)`` is exactly
     ``cn_subset({u}, {v}, gen)``, and OR-ing signatures handles vertex sets.
     """
+    full = (1 << gen.universe) - 1
     if verts_mask is None:
-        verts_mask = (1 << gen.universe) - 1
-    sig = {v: 0 for v in mask_members(verts_mask)}
-    for i, m in enumerate(gen.masks):
-        for v in mask_members(m & verts_mask):
-            sig[v] |= 1 << i
+        verts_mask = full
+    sig = dict.fromkeys(mask_members(verts_mask), 0)  # outside the universe: no member
+    # one row per vertex, each member packed to one bit (set when nonzero)
+    verts = mask_members(verts_mask & full)
+    bits = np.array([1 << v for v in verts], dtype=np.uint64)[:, None]
+    rows = np.packbits(gen.mask_array & bits, axis=1, bitorder="little")
+    sig.update(zip(verts, (int.from_bytes(row.tobytes(), "little") for row in rows)))
     return sig
 
 

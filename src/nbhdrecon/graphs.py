@@ -397,48 +397,6 @@ def girth(g: Graph):
     return best
 
 
-def blow_up(g: Graph, v: int, new_labels: Sequence[Hashable]) -> Graph:
-    """Replace vertex ``v`` by a clique of ``len(new_labels)`` vertices.
-
-    Each clique vertex inherits the open neighborhood of ``v``.  Surviving
-    vertices keep their relative order and labels; the clique vertices are
-    appended with ``new_labels``, which must be distinct and must not collide
-    with surviving labels.
-    """
-    g._check_vertex(v)
-    k = len(new_labels)
-    if k < 1:
-        raise InputError("blow_up needs at least one replacement label")
-    if len(set(new_labels)) != k:
-        raise InputError("replacement labels must be distinct")
-    survivors = [u for u in range(g.n) if u != v]
-    surviving_labels = [g.labels[u] for u in survivors]
-    clash = set(new_labels) & set(surviving_labels)
-    if clash:
-        raise InputError(f"replacement labels already in use: {sorted(map(repr, clash))}")
-
-    n2 = g.n - 1 + k
-    if n2 > MAX_UNIVERSE:
-        raise InputError(f"blow_up result would have {n2} > {MAX_UNIVERSE} vertices")
-    new_id = {u: i for i, u in enumerate(survivors)}
-    clique_ids = list(range(g.n - 1, n2))
-    clique_mask = mask_of(clique_ids)
-
-    adj = [0] * n2
-    for u in survivors:
-        m = 0
-        for w in mask_members(g._adj[u] & ~(1 << v)):
-            m |= 1 << new_id[w]
-        if g.has_edge(u, v):
-            m |= clique_mask
-        adj[new_id[u]] = m
-    anchor_mask = mask_of(new_id[w] for w in mask_members(g._adj[v]))
-    for c in clique_ids:
-        adj[c] = anchor_mask | (clique_mask & ~(1 << c))
-    labels = tuple(surviving_labels) + tuple(new_labels)
-    return Graph._from_adj_unchecked(n2, tuple(adj), labels)
-
-
 def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on ``s`` with compacted ids.
 

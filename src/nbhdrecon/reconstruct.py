@@ -20,6 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .convexity import (
     CONVEXITY_ENUMERATION_CEILING,
     check_convexity_axioms,
@@ -30,10 +32,8 @@ from .errors import InputError, ResourceLimitError, UnrealizableFamilyError
 from .families import (
     NeighborhoodMultiset,
     SetFamily,
-    closed_support,
     incidence_signatures,
     irreducible_members,
-    neighborhood_multiset,
     _base_vertices_from_signatures,
 )
 from .graphs import Graph, VertexSet, as_int, mask_members, mask_of
@@ -359,7 +359,7 @@ def _dc_realize(u: SetFamily, verts: int,
                         for i, v in enumerate(vlist)})
         return out, sub.truncated, sub.nodes_explored
 
-    u_restricted = SetFamily(u.universe, (m & s_mask for m in u.masks))
+    u_restricted = SetFamily(u.universe, u.mask_array & np.uint64(s_mask))
     sub_adjs, truncated, nodes = _dc_realize(u_restricted, s_mask, limit)
 
     canonical: dict[int, int] = {}
@@ -444,13 +444,18 @@ def realizes(g: Graph, reference, kind: str) -> bool:
             raise InputError("kind 'multiset' expects a NeighborhoodMultiset")
         if reference.universe != g.n:
             raise InputError("graph and reference universes differ")
-        return neighborhood_multiset(g, closed=True) == reference
+        counts: dict[int, int] = {}
+        for v, row in enumerate(g._adj):
+            mask = row | (1 << v)
+            counts[mask] = counts.get(mask, 0) + 1
+        return counts == dict(reference.entries)
     if not isinstance(reference, SetFamily):
         raise InputError(f"kind {kind!r} expects a SetFamily")
     if reference.universe != g.n:
         raise InputError("graph and reference universes differ")
     if kind == "support":
-        return closed_support(g) == reference
+        closed = {row | (1 << v) for v, row in enumerate(g._adj)}
+        return len(closed) == len(reference) and all(map(reference.contains_mask, closed))
     if kind == "convexity":
         return digital_convexity(g) == reference
     raise InputError(f"unknown invariant kind {kind!r}")

@@ -111,6 +111,24 @@ def oracle_support(g: Graph) -> frozenset:
     return frozenset(nbhd_sets(g).values())
 
 
+def oracle_members(mask: int) -> tuple[int, ...]:
+    """Set bits of ``mask``, ascending, by testing every position."""
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def oracle_canonical_order(masks) -> list[int]:
+    """Distinct masks in the canonical order by its definition: size, then
+    the ascending member tuples compared lexicographically."""
+    return sorted(set(masks), key=lambda m: (len(oracle_members(m)), oracle_members(m)))
+
+
+def oracle_incidence_signatures(masks, verts) -> dict[int, int]:
+    """Per-vertex signature from the definition: bit i set iff the i-th
+    member (in the given order) contains the vertex."""
+    sets = [set(oracle_members(m)) for m in masks]
+    return {v: sum(1 << i for i, s in enumerate(sets) if v in s) for v in verts}
+
+
 def oracle_convexity(g: Graph) -> frozenset:
     """Every digitally convex set, by the definition over all subsets."""
     nb = nbhd_sets(g)

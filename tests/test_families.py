@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +20,7 @@ from nbhdrecon import (
     union_basis,
     union_closure,
 )
-from nbhdrecon.families import lattice_pays
+from nbhdrecon.families import incidence_signatures, lattice_pays
 
 from helpers import (
     P3,
@@ -27,6 +28,8 @@ from helpers import (
     WORKED_EXAMPLE_SUPPORT,
     nbhd_sets,
     oracle_base_vertex_set,
+    oracle_canonical_order,
+    oracle_incidence_signatures,
     oracle_irreducible,
     oracle_union_basis,
     oracle_union_closure,
@@ -286,3 +289,89 @@ class TestCanonicalOrdering:
     def test_duplicates_collapse(self):
         f = SetFamily(3, [0b101, 0b101, 0b011])
         assert len(f) == 2
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+    def test_every_mask_up_to_width_12(self, as_array):
+        rng = random.Random(12)
+        for width in range(13):
+            masks = list(range(1 << width))
+            rng.shuffle(masks)
+            f = SetFamily(width, np.array(masks, dtype=np.int64) if as_array else masks)
+            assert list(f.masks) == oracle_canonical_order(masks)
+            assert f.mask_array.tolist() == list(f.masks)
+
+    def test_random_masks_at_universe_64(self):
+        rng = random.Random(64)
+        masks = [rng.getrandbits(64) for _ in range(2000)]
+        masks += [1 << 63, (1 << 64) - 1, (1 << 63) | 1, 0, 1, 2]
+        masks += [m | (1 << 63) for m in masks[:500]]
+        expected = oracle_canonical_order(masks)
+        assert list(SetFamily(64, masks).masks) == expected
+        assert list(SetFamily(64, np.array(masks, dtype=np.uint64)).masks) == expected
+
+    def test_empty_family(self):
+        for universe in (0, 5, 64):
+            f = SetFamily(universe, [])
+            assert f.masks == () and f.mask_array.shape == (0,)
+            assert NeighborhoodMultiset(universe, []).entries == ()
+
+    @pytest.mark.parametrize("universe", [10, 64])
+    def test_multiset_entries_with_multiplicities(self, universe):
+        rng = random.Random(universe)
+        distinct = [rng.getrandbits(universe) for _ in range(300)]
+        drawn = [rng.choice(distinct) for _ in range(900)]
+        m = NeighborhoodMultiset(universe, drawn)
+        assert m.entries == tuple((mask, drawn.count(mask))
+                                  for mask in oracle_canonical_order(drawn))
+
+
+class TestIncidenceSignatures:
+    @pytest.mark.parametrize("universe,k", [(10, 300), (20, 70), (64, 150), (6, 0)])
+    def test_against_definition(self, universe, k):
+        rng = random.Random(universe * 1000 + k)
+        f = SetFamily(universe, [rng.getrandbits(universe) for _ in range(k)])
+        full = (1 << universe) - 1
+        assert incidence_signatures(f) == \
+            oracle_incidence_signatures(f.masks, range(universe))
+        for _ in range(5):
+            verts_mask = rng.getrandbits(universe) & full
+            expected = oracle_incidence_signatures(
+                f.masks, [v for v in range(universe) if (verts_mask >> v) & 1])
+            got = incidence_signatures(f, verts_mask)
+            assert got == expected and list(got) == list(expected)
+
+    def test_signatures_span_several_bytes(self):
+        f = SetFamily(12, range(1 << 12))
+        sig = incidence_signatures(f)
+        assert sig == oracle_incidence_signatures(f.masks, range(12))
+        assert sig[11].bit_length() > 64
+
+
+class TestMemberArrays:
+    """Integer arrays are checked in one vectorized pass with the same
+    contract as member-by-member input."""
+
+    @pytest.mark.parametrize("universe,members", [
+        (4, np.array([1, -1], dtype=np.int64)),
+        (4, np.array([0b10000], dtype=np.int64)),
+        (4, np.array([1 << 63], dtype=np.uint64)),
+        (0, np.array([1], dtype=np.uint8)),
+        (64, np.array([-1], dtype=np.int64)),
+        (64, np.array([1 << 64], dtype=object)),
+        (3, np.array([1.0])),
+        (3, np.array([True, False])),
+    ], ids=["negative", "out-of-range", "bit-63-at-4", "universe-0", "negative-at-64",
+            "past-64-bits", "float", "bool"])
+    def test_bad_members_rejected(self, universe, members):
+        with pytest.raises(InputError):
+            SetFamily(universe, members)
+
+    def test_arrays_match_lists(self):
+        rng = random.Random(7)
+        for universe in (1, 7, 20, 63, 64):
+            masks = [rng.getrandbits(universe) for _ in range(50)]
+            expected = SetFamily(universe, masks)
+            for dtype in (np.uint64, np.int64) if universe < 64 else (np.uint64,):
+                assert SetFamily(universe, np.array(masks, dtype=dtype)).masks == \
+                    expected.masks
+        assert SetFamily(64, np.array([1 << 63], dtype=np.uint64)).masks == (1 << 63,)

@@ -13,7 +13,6 @@ from nbhdrecon import (
     SetFamily,
     UnsupportedSizeError,
     VertexSet,
-    blow_up,
     contains_induced_c4,
     girth,
     induced_subgraph,
@@ -21,7 +20,7 @@ from nbhdrecon import (
 )
 from nbhdrecon.miner import enumerate_labeled_graphs
 
-from helpers import P3, UNIQUE_WITH_C4, WORKED_EXAMPLE, girth5_edge_masks, pg, random_graph, vs1
+from helpers import P3, UNIQUE_WITH_C4, WORKED_EXAMPLE, girth5_edge_masks, random_graph, vs1
 
 
 def complete(n):
@@ -177,58 +176,6 @@ class TestGirth:
         for _ in range(60):
             g = random_graph(rng.randint(3, 6), rng)
             assert girth(g) == brute_girth(g)
-
-
-class TestBlowUp:
-    def test_single_vertex_to_triangle(self):
-        g = blow_up(Graph(1), 0, ["a", "b", "c"])
-        assert g.n == 3 and g.edge_count() == 3
-
-    def test_edge_endpoint_to_triangle(self):
-        g = Graph(2, [(0, 1)], labels=["a", "b"])
-        h = blow_up(g, g.id_of("a"), ["a1", "a2"])
-        assert h.edges_by_label() == {frozenset(p) for p in
-                                      [("a1", "a2"), ("a1", "b"), ("a2", "b")]}
-
-    def test_worked_example_rebuilt_from_quotient(self):
-        # quotient graph on class representatives, then blow both nontrivial
-        # classes back up
-        q = pg(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4)])
-        step1 = blow_up(q, q.id_of(2), [2, 6])
-        step2 = blow_up(step1, step1.id_of(4), [4, 7, 8])
-        assert step2.edges_by_label() == WORKED_EXAMPLE.edges_by_label()
-
-    def test_label_collision_rejected(self):
-        g = Graph(2, [(0, 1)], labels=["a", "b"])
-        with pytest.raises(InputError):
-            blow_up(g, 0, ["b"])
-        with pytest.raises(InputError):
-            blow_up(g, 0, ["x", "x"])
-        with pytest.raises(InputError):
-            blow_up(g, 0, [])
-
-    def test_blow_up_then_contract_is_isomorphic(self):
-        rng = random.Random(99)
-        for _ in range(40):
-            n = rng.randint(1, 6)
-            g = random_graph(n, rng)
-            v = rng.randrange(n)
-            k = rng.randint(1, 3)
-            blown = blow_up(g, v, [f"w{i}" for i in range(k)])
-            # survivors are ids 0..n-2; keep those plus one clique member
-            contracted, _ = induced_subgraph(blown, blown.subset(range(n)))
-            assert is_isomorphic(contracted, g)
-
-    def test_clique_vertices_share_anchor_neighborhood(self):
-        g = Graph(4, [(0, 1), (0, 2), (2, 3)])
-        h = blow_up(g, 0, ["x", "y", "z"])
-        xs = [h.id_of(t) for t in ("x", "y", "z")]
-        for a in xs:
-            for b in xs:
-                if a != b:
-                    assert h.has_edge(a, b)
-        anchors = {h.labels[w] for w in h.open_neighborhood(xs[0]).members()} - {"x", "y", "z"}
-        assert anchors == {1, 2}
 
 
 class TestInducedSubgraph:

@@ -478,6 +478,34 @@ class TestRealizes:
         with pytest.raises(InputError):
             realizes(P3, closed_support(P3), "deck")
 
+    def test_multiset_and_support_agree_with_equality(self):
+        rng = random.Random(66)
+        pairs = [(g, h) for n in (1, 2, 3) for g in enumerate_labeled_graphs(n)
+                 for h in enumerate_labeled_graphs(n)]
+        # at n = 5 ten supports first carry more than one multiset
+        by_support = defaultdict(list)
+        for g in enumerate_labeled_graphs(5):
+            by_support[oracle_support(g)].append(g)
+        pairs += [(g, h) for group in by_support.values() for g in group for h in group]
+        for _ in range(2000):
+            n = rng.randint(4, 6)
+            g = random_graph(n, rng)
+            h = rng.choice([g, random_graph(n, rng),
+                            Graph(n, [(u, v) for u, v in g.edges() if rng.random() < 0.9])])
+            pairs.append((g, h))
+        hits = Counter()
+        for g, h in pairs:
+            same_multiset = neighborhood_multiset(g) == neighborhood_multiset(h)
+            same_support = closed_support(g) == closed_support(h)
+            assert same_multiset == (Counter(nbhd_sets(g).values())
+                                     == Counter(nbhd_sets(h).values()))
+            assert same_support == (oracle_support(g) == oracle_support(h))
+            assert realizes(g, neighborhood_multiset(h), "multiset") == same_multiset
+            assert realizes(g, closed_support(h), "support") == same_support
+            hits[same_multiset, same_support] += 1
+        # equal and unequal invariants, and equal supports of unequal multisets
+        assert {(True, True), (False, False), (False, True)} <= set(hits)
+
 
 class TestResultContract:
     def test_modes_validated(self):
