@@ -3,10 +3,11 @@
 
 A vertex set S is digitally convex when every outside vertex keeps a private
 neighbor that N[S] does not reach.  The complements of the convex sets are
-exactly the closed neighborhoods of vertex subsets, which makes the family
-of convex sets carry the same information as the set of closed
-neighborhoods; this script enumerates convex sets, checks that bridge, and
-reconstructs graphs from their convexity alone.
+exactly the closed neighborhoods of vertex subsets, so the set of closed
+neighborhoods fixes the family of convex sets.  The converse fails for some
+labeled graphs with an induced 4-cycle, where different sets of closed
+neighborhoods give one convexity; this script enumerates convex sets,
+checks that bridge, and reconstructs graphs from their convexity alone.
 """
 
 from nbhdrecon import (

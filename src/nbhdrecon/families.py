@@ -17,7 +17,7 @@ has to be materialized.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -375,27 +375,22 @@ def spans(candidate: SetFamily, f: SetFamily) -> bool:
     return True
 
 
-def incidence_signatures(gen: SetFamily, verts_mask: int | None = None) -> dict[int, int]:
+def incidence_signatures(gen: SetFamily) -> dict[int, int]:
     """Per-vertex bitmask over family members: bit i set iff member i holds v.
 
     Signatures turn the membership tests behind ``cn_subset`` / ``cn_equal``
     into single word operations: ``sig(u) subset-of sig(v)`` is exactly
     ``cn_subset({u}, {v}, gen)``, and OR-ing signatures handles vertex sets.
     """
-    full = (1 << gen.universe) - 1
-    if verts_mask is None:
-        verts_mask = full
-    sig = dict.fromkeys(mask_members(verts_mask), 0)  # outside the universe: no member
+    verts = range(gen.universe)
     # one row per vertex, each member packed to one bit (set when nonzero)
-    verts = mask_members(verts_mask & full)
     bits = np.array([1 << v for v in verts], dtype=np.uint64)[:, None]
     rows = np.packbits(gen.mask_array & bits, axis=1, bitorder="little")
-    sig.update(zip(verts, (int.from_bytes(row.tobytes(), "little") for row in rows)))
-    return sig
+    return {v: int.from_bytes(row.tobytes(), "little") for v, row in zip(verts, rows)}
 
 
-def _base_vertices_from_signatures(sig: dict[int, int], verts: Sequence[int]) -> list[int]:
-    """Greedy removal pass over ``verts``; survivors carry the union basis.
+def _base_vertices_from_signatures(sig: dict[int, int]) -> list[int]:
+    """Greedy removal pass over every vertex; survivors carry the union basis.
 
     Vertices are dropped from the highest id down, so the lowest id in each
     group of interchangeable vertices survives.  A vertex v is removable when
@@ -404,8 +399,8 @@ def _base_vertices_from_signatures(sig: dict[int, int], verts: Sequence[int]) ->
     removability whenever any subset does.  Removals only shrink the pool of
     candidates, hence one descending pass reaches the fixpoint.
     """
-    alive = set(verts)
-    for v in sorted(verts, reverse=True):
+    alive = set(sig)
+    for v in sorted(sig, reverse=True):
         target = sig[v]
         acc = 0
         for u in alive:
@@ -424,7 +419,5 @@ def base_vertices(gen: SetFamily) -> VertexSet:
     usable ids survive; other valid choices exist, but the basis they carry
     is the same.
     """
-    verts = list(range(gen.universe))
     sig = incidence_signatures(gen)
-    return VertexSet.from_members(_base_vertices_from_signatures(sig, verts),
-                                  gen.universe)
+    return VertexSet.from_members(_base_vertices_from_signatures(sig), gen.universe)

@@ -7,7 +7,17 @@ Three entry points, one per invariant:
 * :func:`from_support`   - from the set of closed neighborhoods, by the
   quotient-and-blow-up pipeline over twin classes;
 * :func:`from_digital_convexity` - from the family of digitally convex sets,
-  by complementing into neighborhood unions and recursing on base vertices.
+  by complementing into neighborhood unions and reducing them once, onto
+  the closed neighborhoods of the base vertices.
+
+Both set-family paths end in one call to the multiset realizer and one
+blow-up, :func:`_expand`, of each realization back to the whole universe.
+The convexity reduction suffices: with S the base vertices, the graph
+induced on S is twin-free and none of its closed neighborhoods is a union of
+the others, so the union basis cut down to S is its closed-neighborhood
+multiset with every multiplicity one; every other N[v] is the union of the
+N[b], b in S, that it contains, so every realization of that multiset lifts
+to a graph with the same convexity, and re-verification rejects none.
 
 All three return a :class:`ReconstructionResult` whose verdict is one of
 ``unique`` / ``ambiguous`` / ``infeasible``.  Inputs are untrusted: every
@@ -19,8 +29,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .convexity import (
     CONVEXITY_ENUMERATION_CEILING,
@@ -61,8 +69,9 @@ class ReconstructionResult:
     adjacency masks.  ``truncated`` means the search stopped at the limit
     with more realizations left; the verdict then stays ``ambiguous`` even
     for a single graph.  In ``first`` mode a lone solution is reported as
-    ``unique`` without certifying uniqueness; use ``all`` mode (any limit)
-    when the input is not known to be uniquely realizable.
+    ``unique`` without certifying uniqueness, and ``truncated`` is set
+    whenever a graph is returned, on all three paths; use ``all`` mode (any
+    limit) when the input is not known to be uniquely realizable.
     An ``infeasible`` verdict with ``truncated`` set means the search hit
     the limit before anything verified, so infeasibility is not certified
     either; rerun with a higher limit.
@@ -268,20 +277,31 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
 # ---------------------------------------------------------------------------
 
 
-def _expand_blocks(quotient: Graph, classes: EquivalenceClasses) -> Graph:
-    """Blow every quotient vertex back up into its block of twins."""
-    n = classes.universe
-    block_of = [0] * n
-    for i, block in enumerate(classes.blocks):
-        for v in block:
-            block_of[v] = i
-    adj = [0] * n
-    for v in range(n):
-        i = block_of[v]
-        row = classes.blocks[i].bits & ~(1 << v)  # twins form a clique
-        for j in mask_members(quotient.adjacency_mask(i)):
-            row |= classes.blocks[j].bits
-        adj[v] = row
+def _expand(q: Graph, canon: list[int]) -> Graph:
+    """Blow a graph ``q`` on representatives up to the whole universe.
+
+    ``canon[v]`` is the mask of the representatives whose closed
+    neighborhoods make up N[v].  w is adjacent to v exactly when a
+    representative of w lies in the closed neighborhood in q of a
+    representative of v, which is symmetric because q is.
+    """
+    n = len(canon)
+    owners = [0] * q.n  # owners[r]: the vertices with r among their representatives
+    for v, c in enumerate(canon):
+        for r in mask_members(c):
+            owners[r] |= 1 << v
+    reach = []  # reach[r]: the vertices owning a representative in N_q[r]
+    for r in range(q.n):
+        row = 0
+        for s in mask_members(q.adjacency_mask(r) | (1 << r)):
+            row |= owners[s]
+        reach.append(row)
+    adj = []
+    for v, c in enumerate(canon):
+        row = 0
+        for r in mask_members(c):
+            row |= reach[r]
+        adj.append(row & ~(1 << v))
     return Graph._from_adj_unchecked(n, tuple(adj))
 
 
@@ -291,10 +311,11 @@ def from_support(f: SetFamily, mode: str = "all",
 
     Pipeline: twin classes from the family, quotient family over the class
     universe (one closed neighborhood per class, all multiplicities one),
-    exact realization of the quotient, then blow-up of each class.  Every
-    candidate is re-verified against ``f``.  The classes come from f's own
-    signatures, so the quotient cannot fail; the realizer rejects a vertex
-    in no member and a member count other than the class count.
+    exact realization of the quotient, then blow-up of each class into a
+    clique of twins.  Every candidate is re-verified against ``f``.  The
+    classes come from f's own signatures, so the quotient cannot fail; the
+    realizer rejects a vertex in no member and a member count other than
+    the class count.
     """
     t0 = time.perf_counter()
     _check_mode(mode, limit, f.universe)
@@ -302,11 +323,12 @@ def from_support(f: SetFamily, mode: str = "all",
     quotient = quotient_family(f, classes)
     sub = from_multiset(NeighborhoodMultiset(len(classes.blocks), quotient.masks),
                         mode, limit)
-    graphs = []
-    for q in sub.graphs:
-        h = _expand_blocks(q, classes)
-        if realizes(h, f, "support"):
-            graphs.append(h)
+    canon = [0] * f.universe
+    for i, block in enumerate(classes.blocks):
+        for v in block:
+            canon[v] = 1 << i
+    graphs = [h for h in (_expand(q, canon) for q in sub.graphs)
+              if realizes(h, f, "support")]
     return _verdict(mode, graphs, sub.truncated, sub.nodes_explored, t0)
 
 
@@ -315,93 +337,21 @@ def from_support(f: SetFamily, mode: str = "all",
 # ---------------------------------------------------------------------------
 
 
-def _dc_realize(u: SetFamily, verts: int,
-                limit: int) -> tuple[list[dict[int, int]], bool, int]:
-    """Realize a family of neighborhood unions restricted to ``verts``.
-
-    Returns adjacency maps keyed by original vertex ids (only bits inside
-    ``verts`` are used), a truncation flag and the realizer's node count.
-    Recursion: find base vertices S from the union family; if S is
-    everything, the irreducible members are the distinct closed
-    neighborhoods of a twin-free graph (the removal pass drops the higher
-    of two twins and every vertex in no member), which the multiset
-    realizer finishes; otherwise realize the restriction to S and extend,
-    writing each removed vertex's neighborhood as the neighborhood of its
-    canonical base-vertex set.  The extension keeps the sub-realization on
-    S, so no graph comes out twice.
-    """
-    vlist = mask_members(verts)
-    if len(vlist) == 1:
-        return [{vlist[0]: 0}], False, 0
-
-    sig = incidence_signatures(u, verts)
-    base = _base_vertices_from_signatures(sig, vlist)
-    if not base:
-        return [], False, 0
-    s_mask = mask_of(base)
-
-    if s_mask == verts:
-        irr = irreducible_members(u.masks, u.universe)
-        pos = {v: i for i, v in enumerate(vlist)}
-        compacted = []
-        for m in irr:
-            cm = 0
-            for v in mask_members(m & verts):
-                cm |= 1 << pos[v]
-            compacted.append(cm)
-        # always enumerate here: a lone candidate chosen by a first-fit
-        # search could fail the caller's re-verification while another
-        # candidate would pass
-        sub = from_multiset(NeighborhoodMultiset(len(vlist), compacted), "all", limit)
-        out = []
-        for h in sub.graphs:
-            out.append({v: mask_of(vlist[w] for w in mask_members(h.adjacency_mask(i)))
-                        for i, v in enumerate(vlist)})
-        return out, sub.truncated, sub.nodes_explored
-
-    u_restricted = SetFamily(u.universe, u.mask_array & np.uint64(s_mask))
-    sub_adjs, truncated, nodes = _dc_realize(u_restricted, s_mask, limit)
-
-    canonical: dict[int, int] = {}
-    for v in vlist:
-        if v in base:
-            canonical[v] = 1 << v
-        else:
-            a = 0
-            for b in base:
-                if sig[b] & ~sig[v] == 0:
-                    a |= 1 << b
-            canonical[v] = a
-
-    out = []
-    for adj_s in sub_adjs:
-        closed_s = {b: adj_s[b] | (1 << b) for b in base}
-        reach = {}
-        for v in vlist:
-            r = 0
-            for b in mask_members(canonical[v]):
-                r |= closed_s[b]
-            reach[v] = r
-        adj = {}
-        for v in vlist:
-            row = 0
-            for w in vlist:
-                if w != v and canonical[w] & reach[v]:
-                    row |= 1 << w
-            adj[v] = row
-        out.append(adj)
-    return out, truncated, nodes
-
-
 def from_digital_convexity(d: SetFamily, mode: str = "all",
                            limit: int = DEFAULT_SOLUTION_LIMIT) -> ReconstructionResult:
     """Find labeled graphs whose digital convexity equals ``d``.
 
     The family must satisfy the convexity axioms (contain the empty set and
     the universe, be intersection-closed).  Complementing its members gives
-    the family of closed neighborhoods of vertex subsets, which the recursive
-    realizer consumes; each candidate's convexity is recomputed and compared
-    before it is returned.
+    U, the family of closed neighborhoods of vertex subsets.  With S the
+    base vertices of U and can(v) the base vertices b with N[b] inside
+    N[v], N[v] is the union of N[b] over can(v), so the whole graph is
+    fixed by G[S]: v ~ w exactly when N[can(v)] meets can(w).  G[S] is
+    twin-free and none of its closed neighborhoods is a union of the
+    others, so the union-irreducible members of U, cut down to S, are its
+    closed neighborhoods, each once.  One realizer call on that multiset
+    and one blow-up through can() give every candidate; each candidate's
+    convexity is recomputed and compared before it is returned.
     """
     t0 = time.perf_counter()
     _check_mode(mode, limit, d.universe)
@@ -415,16 +365,21 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     if not check_convexity_axioms(d):
         return _verdict(mode, [], False, 0, t0)
 
-    adjs, truncated, nodes = _dc_realize(complement_family(d), (1 << n) - 1, limit)
-
-    graphs = []
-    for adj_map in adjs:
-        h = Graph._from_adj_unchecked(n, tuple(adj_map[v] for v in range(n)))
-        if realizes(h, d, "convexity"):
-            graphs.append(h)
-            if mode == "first":
-                break
-    return _verdict(mode, graphs, truncated, nodes, t0)
+    u = complement_family(d)
+    sig = incidence_signatures(u)
+    base = _base_vertices_from_signatures(sig)  # nonempty: V is in U
+    compacted = []
+    for m in irreducible_members(u.masks, n):
+        cm = 0
+        for i, b in enumerate(base):
+            cm |= ((m >> b) & 1) << i
+        compacted.append(cm)
+    sub = from_multiset(NeighborhoodMultiset(len(base), compacted), mode, limit)
+    canon = [mask_of(i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
+             for v in range(n)]
+    graphs = [h for h in (_expand(q, canon) for q in sub.graphs)
+              if realizes(h, d, "convexity")]
+    return _verdict(mode, graphs, sub.truncated, sub.nodes_explored, t0)
 
 
 # ---------------------------------------------------------------------------

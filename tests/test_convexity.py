@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,12 +12,14 @@ from nbhdrecon import (
     check_convexity_axioms,
     closed_support,
     complement_family,
+    contains_induced_c4,
     convexity_witness,
     digital_convexity,
     is_digitally_convex,
     union_closure,
 )
 from nbhdrecon.families import lattice_pays
+from nbhdrecon.miner import enumerate_labeled_graphs
 
 from helpers import (
     P3,
@@ -240,3 +243,24 @@ class TestAxiomKernel:
             _assert_axioms_match_oracle(f)
             checked += 1
         assert sides == {False, True}
+
+
+class TestSupportAgainstConvexity:
+    def test_convexity_merges_supports_only_around_c4_n6(self):
+        # The convexity is a function of the support (its complements are
+        # the unions of closed neighborhoods), but not the other way round
+        # for labeled graphs: at n = 6 some convexities are shared by graphs
+        # whose supports differ, and every such graph holds an induced C4.
+        supports = set()
+        by_convexity = defaultdict(list)
+        for g in enumerate_labeled_graphs(6):
+            support = closed_support(g)
+            supports.add(support)
+            by_convexity[digital_convexity(g)].append((g, support))
+        merged = [group for group in by_convexity.values()
+                  if len({support for _, support in group}) > 1]
+        assert (len(supports), len(by_convexity)) == (30674, 30434)
+        assert len(merged) == 120
+        assert all(len({support for _, support in group}) == len(group) == 3
+                   for group in merged)
+        assert all(contains_induced_c4(g) for group in merged for g, _ in group)

@@ -75,9 +75,17 @@ def multiset_groups():
 
 
 def reconstruct_group(kind, n, key, group):
-    """Reconstruct the family ``key`` and check that it gives exactly
-    ``group``, untruncated and without duplicates."""
-    result = RECONSTRUCT[kind](SetFamily(n, map(mask_of, key)), "all", 1024)
+    """Reconstruct the family ``key`` and check that ``all`` gives exactly
+    ``group``, untruncated and without duplicates, and that ``first`` gives
+    one graph of it, truncated, or an untruncated infeasible verdict."""
+    family = SetFamily(n, map(mask_of, key))
+    first = RECONSTRUCT[kind](family, "first")
+    if group:
+        assert first.verdict == "unique" and first.truncated
+        assert first.graph in group
+    else:
+        assert first.verdict == "infeasible" and not first.truncated
+    result = RECONSTRUCT[kind](family, "all", 1024)
     assert not result.truncated
     assert len(set(result.graphs)) == len(result.graphs)
     assert set(result.graphs) == group
@@ -357,6 +365,9 @@ class TestFromDigitalConvexity:
             result = from_digital_convexity(d, "all", 8)
             assert result.verdict == "unique"
             assert result.graph.edge_count() == n * (n - 1) // 2
+            # one base vertex, placed once, as from the support
+            clique = from_support(closed_support(result.graph), "all")
+            assert result.nodes_explored == clique.nodes_explored == 1
 
     def test_p3_family(self):
         d = SetFamily(3, [0b000, 0b001, 0b100, 0b111])
@@ -440,7 +451,7 @@ class TestExhaustiveOracles:
     def test_random_families(self, oracle_groups):
         # raw random families for the support; for the convexity their
         # intersection closure with the empty set and V, so that most pass
-        # the axiom check and reach the recursion
+        # the axiom check and reach the realizer
         rng = random.Random(2000)
         infeasible = dict.fromkeys(RECONSTRUCT, 0)
         for _ in range(2000):
