@@ -32,7 +32,7 @@ from .formats import (
     to_graph6,
 )
 from .graphs import VertexSet, mask_members
-from .miner import check_collision_pair, find_collisions, verify_collisions
+from .miner import collision_arrays, pair_checks, verify_collisions
 from .reconstruct import (
     DEFAULT_SOLUTION_LIMIT,
     ReconstructionResult,
@@ -155,24 +155,28 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    groups = find_collisions(args.n, args.kind, allow_large=args.deep, jobs=args.jobs)
-    for group in groups:
+    groups = collision_arrays(args.n, args.kind, allow_large=args.deep, jobs=args.jobs)
+    graph6 = groups.graph6()
+    if groups.kind == "closed-multiset":
+        first = pair_checks(groups.n, *groups.first_pairs())
+        witnesses = first.cycle_notations()
+        checks = [{"equal_edge_count": e, "orbits_are_cliques": o,
+                   "edge_transit": t, "both_contain_c4": c}
+                  for e, o, t, c in zip(first.equal_edge_count.tolist(),
+                                        first.orbits_are_cliques.tolist(),
+                                        first.edge_transit.tolist(),
+                                        first.both_contain_c4.tolist())]
+    members_of = [list(mask_members(m)) for m in range(1 << groups.n)]
+    for i, fp in enumerate(groups.fingerprints):
         record = {
-            "kind": group.kind,
-            "n": group.n,
-            "fingerprint": [list(mask_members(m)) for m in group.fingerprint],
-            "graphs": [to_graph6(g) for g in group.graphs],
+            "kind": groups.kind,
+            "n": groups.n,
+            "fingerprint": [members_of[m] for m in fp],
+            "graphs": graph6[i],
         }
-        if group.kind == "closed-multiset":
-            checks = check_collision_pair(group.graphs[0], group.graphs[1])
-            record["witness"] = (checks.witness.cycle_notation()
-                                 if checks.witness else None)
-            record["checks"] = {
-                "equal_edge_count": checks.equal_edge_count,
-                "orbits_are_cliques": checks.orbits_are_cliques,
-                "edge_transit": checks.edge_transit,
-                "both_contain_c4": checks.both_contain_c4,
-            }
+        if groups.kind == "closed-multiset":
+            record["witness"] = witnesses[i]
+            record["checks"] = checks[i]
         print(dumps_canonical(record))
     return EXIT_OK
 

@@ -7,9 +7,28 @@ them by a canonical fingerprint of the chosen invariant, and exposes the
 groups plus per-pair structural checks: matching permutations, orbit
 cliques, edge-count equality, edge transit, and induced-C4 containment.
 
-Sweeps are vectorized over the edge-mask range and can be partitioned across
-worker processes; per-graph logic stays in plain Python for auditability and
-is cross-checked against the vectorized path in the test suite.
+A sweep stays in arrays from the key to the output.  A graph is its edge
+mask (bit k is the k-th pair (u, v), u < v, in lexicographic order); sweeps
+stop at n = 8, so an edge mask fits a uint32 and a neighborhood one byte.
+
+* ``_neighborhood_rows`` turns edge masks into an (n, N) uint8 array whose
+  row v holds every graph's closed or open neighborhood of v.
+* ``_fingerprint_keys_chunk`` sorts those rows with a compare-exchange
+  network and packs them into one uint64 key per graph; chunks of the
+  edge-mask range can run in worker processes.
+* ``collision_arrays`` argsorts the keys and keeps each run of two or more
+  equal keys: the members' edge masks in group order, plus offsets.
+* ``graph6_strings`` writes graph6 straight from edge masks.
+* ``pair_checks`` makes every structural check on many closed-multiset
+  pairs at once; ``_induced_c4`` is its induced-C4 flag.
+
+The per-graph functions are the definition oracles of these kernels, kept
+in plain Python for auditability and checked against them in the test
+suite: ``invariant_fingerprint`` for the keys, ``formats.to_graph6`` for
+graph6, ``contains_induced_c4`` for the C4 flag, and
+``check_collision_pair`` with ``witness_permutation`` for the pair checks.
+``find_collisions`` hands groups out as ``Graph`` objects; the ``mine`` and
+``verify`` commands build none per member.
 """
 
 from __future__ import annotations
@@ -18,10 +37,12 @@ import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError, VerificationError
+from .families import _POPCOUNT8
 from .graphs import Graph, VertexSet, contains_induced_c4
 
 #: Sweeps are free up to here; larger sizes must be requested explicitly.
@@ -83,45 +104,109 @@ class CollisionGroup:
     graphs: tuple[Graph, ...]
 
 
+def _edge_pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (u, v), u < v, in lexicographic order: bit k of an edge mask
+    is the k-th of them."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def _neighborhood_rows(n: int, edge_masks: np.ndarray, closed: bool) -> np.ndarray:
+    """(n, N) uint8 array: row v holds N[v] (or N(v) if not ``closed``) of
+    every graph in the uint32 array ``edge_masks``."""
+    rows = np.zeros((n, len(edge_masks)), dtype=np.uint8)
+    for k, (u, v) in enumerate(_edge_pairs(n)):
+        bit = (edge_masks >> k).astype(np.uint8) & 1
+        rows[u] |= bit << v
+        rows[v] |= bit << u
+    if closed:
+        for v in range(n):
+            rows[v] |= 1 << v
+    return rows
+
+
+def _sort_rows(rows: np.ndarray) -> None:
+    """Sort every column of ``rows`` in place with a fixed insertion network
+    of compare-exchanges between whole rows."""
+    for i in range(1, len(rows)):
+        for j in range(i, 0, -1):
+            low = np.minimum(rows[j - 1], rows[j])
+            np.maximum(rows[j - 1], rows[j], out=rows[j])
+            rows[j - 1] = low
+
+
 def _fingerprint_keys_chunk(n: int, kind: str, lo: int, hi: int) -> np.ndarray:
     """Packed invariant keys for edge masks in [lo, hi); one uint64 per graph.
 
-    Neighborhood masks fit n bits and there are n of them, so the sorted
-    mask vector packs into n*n <= 64 bits, zero-padded in the support case
-    (closed masks are never zero).
+    Each graph's neighborhood masks are sorted and mask i goes to bits n*i
+    and up, so n masks of n bits fill at most 64 bits.  For the support,
+    repeated masks are zeroed and sorted to the front (closed masks are
+    never zero).
     """
-    ems = np.arange(lo, hi, dtype=np.uint64)
-    cols = np.zeros((hi - lo, n), dtype=np.uint64)
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            bit = (ems >> np.uint64(k)) & np.uint64(1)
-            cols[:, u] |= bit << np.uint64(v)
-            cols[:, v] |= bit << np.uint64(u)
-            k += 1
-    if kind != "open-multiset":
-        for v in range(n):
-            cols[:, v] |= np.uint64(1 << v)
-    cols.sort(axis=1)
+    edge_masks = np.arange(lo, hi, dtype=np.uint32)
+    rows = _neighborhood_rows(n, edge_masks, closed=kind != "open-multiset")
+    _sort_rows(rows)
     if kind == "closed-support":
-        dup = np.zeros(cols.shape, dtype=bool)
-        dup[:, 1:] = cols[:, 1:] == cols[:, :-1]
-        cols[dup] = 0
-        cols.sort(axis=1)
+        for i in range(n - 1, 0, -1):
+            rows[i] *= rows[i] != rows[i - 1]
+        _sort_rows(rows)
     keys = np.zeros(hi - lo, dtype=np.uint64)
     for i in range(n):
-        keys |= cols[:, i] << np.uint64(n * i)
+        keys |= rows[i].astype(np.uint64) << (n * i)
     return keys
 
 
-def find_collisions(n: int, kind: str = "closed-multiset",
-                    allow_large: bool = False, jobs: int = 1) -> list[CollisionGroup]:
-    """All collision groups of the chosen invariant at size ``n``.
+def _find_collisions_worker(args: tuple) -> np.ndarray:
+    return _fingerprint_keys_chunk(*args)
 
-    Groups are confirmed by exact fingerprint equality and returned in
-    ascending fingerprint order; members are in edge-mask order.  ``jobs``
-    partitions the edge-mask range across worker processes, never more than
-    there are chunks or CPUs.
+
+@dataclass(frozen=True, slots=True, eq=False)
+class CollisionArrays:
+    """The collision groups of one sweep, as arrays.
+
+    Group i has fingerprint ``fingerprints[i]`` and members
+    ``edge_masks[offsets[i]:offsets[i + 1]]`` (uint32, in edge-mask order).
+    Groups ascend by fingerprint.
+    """
+
+    kind: str
+    n: int
+    fingerprints: tuple[tuple[int, ...], ...]
+    edge_masks: np.ndarray
+    offsets: np.ndarray
+
+    def graph6(self) -> list[list[str]]:
+        """The graph6 strings of each group's members."""
+        out = graph6_strings(self.n, self.edge_masks)
+        bounds = self.offsets.tolist()
+        return [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def first_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge masks of each group's first two members."""
+        first = self.offsets[:-1]
+        return self.edge_masks[first], self.edge_masks[first + 1]
+
+    def all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge masks of every pair of members within a group: groups in
+        order, and within a group (i, j), i < j, lexicographically."""
+        sizes = np.diff(self.offsets)
+        pair_offsets = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))
+        first = np.empty(pair_offsets[-1], dtype=np.int64)
+        second = np.empty_like(first)
+        for size in np.unique(sizes):
+            groups = np.flatnonzero(sizes == size)
+            i, j = np.triu_indices(size, 1)
+            at = pair_offsets[groups][:, None] + np.arange(len(i))
+            first[at] = self.offsets[groups][:, None] + i
+            second[at] = self.offsets[groups][:, None] + j
+        return self.edge_masks[first], self.edge_masks[second]
+
+
+def collision_arrays(n: int, kind: str = "closed-multiset",
+                     allow_large: bool = False, jobs: int = 1) -> CollisionArrays:
+    """All collision groups of the chosen invariant at size ``n``, as arrays.
+
+    ``jobs`` partitions the key computation across worker processes, never
+    more than there are chunks or CPUs.
     """
     total = _check_size(n, allow_large)
     if kind not in KINDS:
@@ -137,26 +222,74 @@ def find_collisions(n: int, kind: str = "closed-multiset",
     else:
         parts = [_fingerprint_keys_chunk(n, kind, lo, hi) for lo, hi in chunks]
     keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts  # here and below: at n = 8 each of these arrays is 1-2 GB
 
+    # The stable argsort keeps equal keys in edge-mask order; a graph is in
+    # a group exactly when its key equals a neighbour's.
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(sorted_keys)]))
+    keys = keys[order]
+    same = keys[1:] == keys[:-1]
+    grouped = np.zeros(total, dtype=bool)
+    grouped[1:] = same
+    grouped[:-1] |= same
+    edge_masks = order[grouped].astype(np.uint32)
+    keys = keys[grouped]
+    del order, same, grouped
+    opens = np.ones(len(keys), dtype=bool)
+    opens[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(opens)
+    sizes = np.diff(np.append(starts, len(keys)))
 
-    groups = []
-    for s, e in zip(starts, ends):
-        if e - s < 2:
-            continue
-        members = tuple(Graph.from_edge_mask(n, int(em)) for em in order[s:e])
-        fp = invariant_fingerprint(members[0], kind)
-        groups.append(CollisionGroup(kind, n, fp, members))
-    groups.sort(key=lambda grp: grp.fingerprint)
-    return groups
+    # Fingerprints are compared as tuples: mask by mask from the smallest.
+    # A support's zero padding goes to the back, so a proper prefix sorts first.
+    fields = (keys[starts, None] >> (n * np.arange(n, dtype=np.uint64))) & np.uint64((1 << n) - 1)
+    if kind == "closed-support":
+        fields = np.take_along_axis(fields, np.argsort(fields == 0, axis=1, kind="stable"),
+                                    axis=1)
+    rank = np.lexsort(fields.T[::-1])
+    fields, starts, sizes = fields[rank], starts[rank], sizes[rank]
+    lengths = np.count_nonzero(fields, axis=1) if kind == "closed-support" else [n] * len(rank)
+    fingerprints = tuple(tuple(fp[:k]) for fp, k in zip(fields.tolist(), lengths))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    members = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
+    return CollisionArrays(kind, n, fingerprints, edge_masks[members], offsets)
 
 
-def _find_collisions_worker(args: tuple) -> np.ndarray:
-    return _fingerprint_keys_chunk(*args)
+def find_collisions(n: int, kind: str = "closed-multiset",
+                    allow_large: bool = False, jobs: int = 1) -> list[CollisionGroup]:
+    """All collision groups of the chosen invariant at size ``n``.
+
+    Groups are confirmed by exact fingerprint equality and returned in
+    ascending fingerprint order; members are in edge-mask order.  ``jobs``
+    partitions the edge-mask range across worker processes, never more than
+    there are chunks or CPUs.
+    """
+    arrays = collision_arrays(n, kind, allow_large, jobs)
+    adjacency = _neighborhood_rows(n, arrays.edge_masks, closed=False).T.tolist()
+    graphs = [Graph._from_adj_unchecked(n, tuple(adj)) for adj in adjacency]
+    bounds = arrays.offsets.tolist()
+    return [CollisionGroup(kind, n, fp, tuple(graphs[lo:hi]))
+            for fp, lo, hi in zip(arrays.fingerprints, bounds, bounds[1:])]
+
+
+def graph6_strings(n: int, edge_masks: np.ndarray) -> list[str]:
+    """graph6 of every graph in the uint32 array ``edge_masks``.
+
+    graph6 reads the upper triangle column by column and packs six bits a
+    byte, the first bit most significant; each of its bits is one edge-mask
+    bit, moved to its column-order place.
+    """
+    index = {pair: k for k, pair in enumerate(_edge_pairs(n))}
+    bits = [index[row, col] for col in range(1, n) for row in range(col)]
+    width = 1 + (len(bits) + 5) // 6
+    out = np.empty((len(edge_masks), width), dtype=np.uint8)
+    out[:, 0] = n + 63
+    for j in range(1, width):
+        byte = np.zeros(len(edge_masks), dtype=np.uint32)
+        for t, k in enumerate(bits[6 * j - 6:6 * j]):
+            byte |= ((edge_masks >> k) & 1) << (5 - t)
+        out[:, j] = byte + 63
+    return out.view(f"S{width}").ravel().astype(str).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +423,108 @@ def check_collision_pair(g: Graph, h: Graph) -> PairChecks:
     return PairChecks(w, equal_edges, orbits_ok, transit_ok, c4)
 
 
+def _c4_patterns(n: int) -> list[tuple[int, int]]:
+    """(pairs, cycle) edge masks, one per 4-cycle on four of the n vertices:
+    ``pairs`` holds all six pairs of the four, ``cycle`` its four edges."""
+    index = {pair: k for k, pair in enumerate(_edge_pairs(n))}
+
+    def edges(*pairs):
+        return sum(1 << index[min(p), max(p)] for p in pairs)
+
+    out = []
+    for a, b, c, d in combinations(range(n), 4):
+        for w, x, y, z in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
+            cycle = edges((w, x), (x, y), (y, z), (z, w))
+            out.append((cycle | edges((w, y), (x, z)), cycle))
+    return out
+
+
+def _edge_counts(edge_masks: np.ndarray) -> np.ndarray:
+    """Per graph: the number of edges, a popcount of the uint32 edge mask
+    taken byte by byte."""
+    octets = np.ascontiguousarray(edge_masks, dtype=np.uint32).view(np.uint8)
+    return _POPCOUNT8.take(octets).reshape(-1, 4).sum(axis=1)
+
+
+def _induced_c4(n: int, edge_masks: np.ndarray) -> np.ndarray:
+    """Per graph: do four vertices induce exactly a 4-cycle?"""
+    found = np.zeros(len(edge_masks), dtype=bool)
+    for pairs, cycle in _c4_patterns(n):
+        found |= (edge_masks & pairs) == cycle
+    return found
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PairArrays:
+    """:class:`PairChecks` of many pairs at once; entry i is pair i.
+
+    ``sigma[i]`` is the least witness and ``orbit_counts[i]`` its number of
+    orbits where ``has_witness[i]``; elsewhere they carry no meaning, and
+    the orbit and transit flags read true, as in :func:`check_collision_pair`.
+    """
+
+    sigma: np.ndarray
+    has_witness: np.ndarray
+    orbit_counts: np.ndarray
+    equal_edge_count: np.ndarray
+    orbits_are_cliques: np.ndarray
+    edge_transit: np.ndarray
+    both_contain_c4: np.ndarray
+
+    def all_ok(self) -> np.ndarray:
+        return (self.has_witness & self.equal_edge_count & self.orbits_are_cliques
+                & self.edge_transit & self.both_contain_c4)
+
+    def cycle_notations(self) -> list[str | None]:
+        """:meth:`PermutationWitness.cycle_notation` of each pair's witness."""
+        distinct, which = np.unique(self.sigma, axis=0, return_inverse=True)
+        notation = [PermutationWitness.from_sigma(tuple(sigma)).cycle_notation()
+                    for sigma in distinct.tolist()]
+        return [notation[i] if ok else None
+                for i, ok in zip(which.tolist(), self.has_witness.tolist())]
+
+
+def pair_checks(n: int, g: np.ndarray, h: np.ndarray) -> PairArrays:
+    """:func:`check_collision_pair` on the pairs of uint32 edge masks (g[i], h[i]).
+
+    Tagging each closed neighborhood with its vertex id in the low three bits
+    and sorting by that puts each graph's vertices in (N[v], v) order; the
+    i-th of g then maps to the i-th of h, which is the bucket match of
+    :func:`witness_permutation`.
+    """
+    ng = _neighborhood_rows(n, g, closed=True)
+    nh = _neighborhood_rows(n, h, closed=True)
+    ids = np.arange(n)[:, None]
+    tagged_g = ng.astype(np.uint16) << 3 | ids
+    tagged_h = nh.astype(np.uint16) << 3 | ids
+    _sort_rows(tagged_g)
+    _sort_rows(tagged_h)
+    has_witness = ((tagged_g >> 3) == (tagged_h >> 3)).all(axis=0)
+    sigma = np.empty(ng.shape, dtype=np.intp)
+    np.put_along_axis(sigma, (tagged_g & 7).astype(np.intp),
+                      (tagged_h & 7).astype(np.intp), axis=0)
+
+    # orbit[a] collects a, sigma(a), ..., sigma^(n-1)(a): the whole orbit of a.
+    vertex_bit = (1 << np.arange(n)).astype(np.uint8)
+    image = np.broadcast_to(ids, sigma.shape)
+    orbit = vertex_bit[image]
+    for _ in range(n - 1):
+        image = np.take_along_axis(sigma, image, axis=0)
+        orbit |= vertex_bit[image]
+    orbit_counts = ((orbit & (vertex_bit[:, None] - 1)) == 0).sum(axis=0)
+    cliques = (((ng & orbit) == orbit) & ((nh & orbit) == orbit)).all(axis=0)
+    transit = (ng == np.take_along_axis(nh, sigma, axis=0)).all(axis=0)
+    return PairArrays(
+        sigma=sigma.T,
+        has_witness=has_witness,
+        orbit_counts=np.where(has_witness, orbit_counts, 0),
+        equal_edge_count=_edge_counts(g) == _edge_counts(h),
+        orbits_are_cliques=cliques | ~has_witness,
+        edge_transit=transit | ~has_witness,
+        both_contain_c4=_induced_c4(n, g) & _induced_c4(n, h),
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class CollisionAuditReport:
     """Counts from an exhaustive closed-multiset collision verification."""
@@ -308,30 +543,25 @@ def verify_collisions(n: int, allow_large: bool = False) -> CollisionAuditReport
     For each pair: a matching permutation exists, edge counts agree, every
     orbit induces a clique in both graphs, edge transit holds in both
     directions, and both graphs contain an induced C4.  Any violation raises
-    :class:`~nbhdrecon.errors.VerificationError` naming the pair.
+    :class:`~nbhdrecon.errors.VerificationError` naming the first failing
+    pair in group order.
     """
     total = _check_size(n, allow_large)
-    groups = find_collisions(n, "closed-multiset", allow_large=allow_large)
-    pairs = 0
-    orbits = 0
-    for group in groups:
-        members = group.graphs
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                g, h = members[i], members[j]
-                checks = check_collision_pair(g, h)
-                pairs += 1
-                if checks.witness is None:
-                    raise VerificationError(
-                        f"no matching permutation for pair {g!r} / {h!r}")
-                orbits += len(checks.witness.orbits)
-                if not checks.equal_edge_count:
-                    raise VerificationError(f"edge counts differ: {g!r} / {h!r}")
-                if not checks.orbits_are_cliques:
-                    raise VerificationError(f"orbit not a clique: {g!r} / {h!r}")
-                if not checks.edge_transit:
-                    raise VerificationError(f"edge transit fails: {g!r} / {h!r}")
-                if not checks.both_contain_c4:
-                    raise VerificationError(
-                        f"collision pair without induced C4: {g!r} / {h!r}")
-    return CollisionAuditReport(n, total, len(groups), pairs, orbits)
+    groups = collision_arrays(n, "closed-multiset", allow_large=allow_large)
+    g, h = groups.all_pairs()
+    checks = pair_checks(n, g, h)
+    failing = np.flatnonzero(~checks.all_ok())
+    if len(failing):
+        i = failing[0]
+        pair = f"{Graph.from_edge_mask(n, int(g[i]))!r} / {Graph.from_edge_mask(n, int(h[i]))!r}"
+        if not checks.has_witness[i]:
+            raise VerificationError(f"no matching permutation for pair {pair}")
+        if not checks.equal_edge_count[i]:
+            raise VerificationError(f"edge counts differ: {pair}")
+        if not checks.orbits_are_cliques[i]:
+            raise VerificationError(f"orbit not a clique: {pair}")
+        if not checks.edge_transit[i]:
+            raise VerificationError(f"edge transit fails: {pair}")
+        raise VerificationError(f"collision pair without induced C4: {pair}")
+    return CollisionAuditReport(n, total, len(groups.fingerprints), len(g),
+                                int(checks.orbit_counts.sum()))

@@ -316,3 +316,63 @@ def girth5_edge_masks(n: int) -> np.ndarray:
         bad |= edge & (common != 0)                      # triangle
         bad |= np.bitwise_count(common) >= 2             # 4-cycle
     return ems[~bad]
+
+
+# ---------------------------------------------------------------------------
+# Per-graph reference for the mine and verify commands
+# ---------------------------------------------------------------------------
+
+
+def oracle_mine_lines(n: int, kind: str, jobs: int = 1) -> list[str]:
+    """``mine`` output built one Graph at a time: the groups of
+    ``find_collisions``, ``to_graph6`` per member and ``check_collision_pair``
+    on each closed-multiset group's first pair."""
+    from nbhdrecon.formats import dumps_canonical, to_graph6
+    from nbhdrecon.miner import check_collision_pair, find_collisions
+
+    lines = []
+    for group in find_collisions(n, kind, jobs=jobs):
+        record = {
+            "kind": group.kind,
+            "n": group.n,
+            "fingerprint": [list(mask_members(m)) for m in group.fingerprint],
+            "graphs": [to_graph6(g) for g in group.graphs],
+        }
+        if group.kind == "closed-multiset":
+            checks = check_collision_pair(group.graphs[0], group.graphs[1])
+            record["witness"] = (checks.witness.cycle_notation()
+                                 if checks.witness else None)
+            record["checks"] = {
+                "equal_edge_count": checks.equal_edge_count,
+                "orbits_are_cliques": checks.orbits_are_cliques,
+                "edge_transit": checks.edge_transit,
+                "both_contain_c4": checks.both_contain_c4,
+            }
+        lines.append(dumps_canonical(record))
+    return lines
+
+
+def oracle_collision_pairs(n: int) -> list[tuple[Graph, Graph]]:
+    """Every pair (g, h) of members of a closed-multiset group, groups in
+    order and (i, j), i < j, within a group."""
+    from nbhdrecon.miner import find_collisions
+
+    return [(grp.graphs[i], grp.graphs[j]) for grp in find_collisions(n)
+            for i, j in combinations(range(len(grp.graphs)), 2)]
+
+
+def oracle_verify_line(n: int) -> str:
+    """``verify`` output from ``check_collision_pair`` on every pair."""
+    from nbhdrecon.formats import dumps_canonical
+    from nbhdrecon.miner import check_collision_pair, find_collisions
+
+    checks = [check_collision_pair(g, h) for g, h in oracle_collision_pairs(n)]
+    assert all(c.all_ok for c in checks)
+    return dumps_canonical({
+        "n": n,
+        "graphs_swept": 1 << (n * (n - 1) // 2),
+        "collision_groups": len(find_collisions(n)),
+        "pairs_checked": len(checks),
+        "orbits_checked": sum(len(c.witness.orbits) for c in checks),
+        "violations": [],
+    })

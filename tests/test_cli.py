@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from nbhdrecon import closed_support, neighborhood_multiset
+from nbhdrecon import closed_support, miner, neighborhood_multiset
 from nbhdrecon.cli import main
 from nbhdrecon.formats import (
     family_to_json_dict,
@@ -12,7 +12,14 @@ from nbhdrecon.formats import (
     to_graph6,
 )
 
-from helpers import C4_LABELINGS, UNIQUE_WITH_C4, WORKED_EXAMPLE, pg
+from helpers import (
+    C4_LABELINGS,
+    UNIQUE_WITH_C4,
+    WORKED_EXAMPLE,
+    oracle_mine_lines,
+    oracle_verify_line,
+    pg,
+)
 
 
 def run(capsys, *argv):
@@ -186,6 +193,36 @@ class TestMineAndVerify:
         code, _, err = run(capsys, "mine", "--n", "7")
         assert code == 1
         assert "deep" in err
+
+    @pytest.mark.parametrize("kind", ["closed-multiset", "closed-support", "open-multiset"])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_mine_output_matches_per_graph_reference(self, capsys, n, kind):
+        code, out, err = run(capsys, "mine", "--n", str(n), "--kind", kind)
+        assert (code, err) == (0, "")
+        assert out == "".join(line + "\n" for line in oracle_mine_lines(n, kind))
+
+    @pytest.mark.parametrize("kind", ["closed-multiset", "closed-support", "open-multiset"])
+    def test_mine_jobs_output_matches_per_graph_reference(self, capsys, monkeypatch, kind):
+        monkeypatch.setattr(miner, "_CHUNK", 1 << 13)  # four chunks, two workers
+        code, out, _ = run(capsys, "mine", "--n", "6", "--kind", kind, "--jobs", "2")
+        assert code == 0
+        assert out == "".join(line + "\n" for line in oracle_mine_lines(6, kind))
+
+    def test_verify_output_matches_per_graph_reference(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "6")
+        assert code == 0
+        assert out == oracle_verify_line(6) + "\n"
+        assert jline(out)["pairs_checked"] == 1755
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_groups_below_four_vertices(self, capsys, n):
+        for kind in ("closed-multiset", "closed-support", "open-multiset"):
+            assert run(capsys, "mine", "--n", str(n), "--kind", kind) == (0, "", "")
+        code, out, _ = run(capsys, "verify", "--n", str(n))
+        assert code == 0
+        assert jline(out) == {"n": n, "graphs_swept": 1 << (n * (n - 1) // 2),
+                              "collision_groups": 0, "pairs_checked": 0,
+                              "orbits_checked": 0, "violations": []}
 
     def test_verify_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "4")

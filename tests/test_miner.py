@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
 
 from nbhdrecon import (
@@ -8,6 +10,7 @@ from nbhdrecon import (
     InputError,
     NeighborhoodMultiset,
     ResourceLimitError,
+    VerificationError,
     contains_induced_c4,
     from_multiset,
 )
@@ -22,7 +25,9 @@ from nbhdrecon.miner import (
     witness_permutation,
 )
 
-from helpers import nbhd_sets, oracle_least_witness, random_graph
+from nbhdrecon.formats import to_graph6
+
+from helpers import nbhd_sets, oracle_collision_pairs, oracle_least_witness, random_graph
 
 
 class TestEnumeration:
@@ -243,3 +248,183 @@ class TestVerify:
             for grp in find_collisions(n, "closed-support"):
                 c4_free = [g for g in grp.graphs if not contains_induced_c4(g)]
                 assert len(c4_free) == 0
+
+
+def all_edge_masks(n):
+    return np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+
+
+def seeded_edge_masks(n, count, seed):
+    rng = random.Random(seed)
+    return np.array([rng.getrandbits(n * (n - 1) // 2) for _ in range(count)],
+                    dtype=np.uint32)
+
+
+class TestArrayKernels:
+    """Each array kernel against the per-graph function it replaces."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_against_graph(self, n):
+        ems = all_edge_masks(n)
+        closed = miner._neighborhood_rows(n, ems, closed=True).T.tolist()
+        opened = miner._neighborhood_rows(n, ems, closed=False).T.tolist()
+        for em, c, o in zip(ems.tolist(), closed, opened):
+            g = Graph.from_edge_mask(n, em)
+            assert c == [g.closed_mask(v) for v in range(n)]
+            assert o == [g.adjacency_mask(v) for v in range(n)]
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_keys_pack_invariant_fingerprint(self, n, kind):
+        # mask i of the sorted invariant sits at bits n*i; a support is
+        # zero-padded at the front
+        keys = miner._fingerprint_keys_chunk(n, kind, 0, 1 << (n * (n - 1) // 2))
+        for em, key in enumerate(keys.tolist()):
+            fp = invariant_fingerprint(Graph.from_edge_mask(n, em), kind)
+            fp = (0,) * (n - len(fp)) + fp
+            assert key == sum(m << (n * i) for i, m in enumerate(fp))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_graph6_every_graph(self, n):
+        ems = all_edge_masks(n)
+        assert miner.graph6_strings(n, ems) == \
+            [to_graph6(Graph.from_edge_mask(n, em)) for em in ems.tolist()]
+
+    @pytest.mark.parametrize("n,seed", [(7, 7), (8, 8)])
+    def test_graph6_seeded(self, n, seed):
+        ems = seeded_edge_masks(n, 2000, seed)
+        assert miner.graph6_strings(n, ems) == \
+            [to_graph6(Graph.from_edge_mask(n, em)) for em in ems.tolist()]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_c4_flag_every_graph(self, n):
+        ems = all_edge_masks(n)
+        flags = miner._induced_c4(n, ems).tolist()
+        assert flags == [contains_induced_c4(Graph.from_edge_mask(n, em))
+                         for em in ems.tolist()]
+        assert any(flags) == (n >= 4)
+
+    @staticmethod
+    def assert_pair_kernel_matches(n, pairs):
+        g = np.array([edge_mask(a) for a, _ in pairs], dtype=np.uint32)
+        h = np.array([edge_mask(b) for _, b in pairs], dtype=np.uint32)
+        got = miner.pair_checks(n, g, h)
+        notations = got.cycle_notations()
+        for i, (a, b) in enumerate(pairs):
+            ref = check_collision_pair(a, b)
+            assert bool(got.has_witness[i]) == (ref.witness is not None)
+            if ref.witness is not None:
+                assert tuple(got.sigma[i].tolist()) == ref.witness.sigma
+                assert got.orbit_counts[i] == len(ref.witness.orbits)
+                assert notations[i] == ref.witness.cycle_notation()
+            else:
+                assert notations[i] is None
+            assert got.equal_edge_count[i] == ref.equal_edge_count
+            assert got.orbits_are_cliques[i] == ref.orbits_are_cliques
+            assert got.edge_transit[i] == ref.edge_transit
+            assert got.both_contain_c4[i] == ref.both_contain_c4
+            assert bool(got.all_ok()[i]) == ref.all_ok
+        return got
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pair_kernel_every_collision_pair(self, n):
+        pairs = oracle_collision_pairs(n)
+        assert len(pairs) == {4: 3, 5: 60, 6: 1755}.get(n, 0)
+        got = self.assert_pair_kernel_matches(n, pairs)
+        assert got.all_ok().all()
+
+    def test_pair_kernel_seeded_random_pairs(self):
+        rng = random.Random(2000)
+        by_n = defaultdict(list)
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            g = random_graph(n, rng)
+            by_n[n].append((g, g if rng.random() < 0.2 else random_graph(n, rng)))
+        seen = Counter()
+        for n, pairs in sorted(by_n.items()):
+            got = self.assert_pair_kernel_matches(n, pairs)
+            seen.update(("witness", bool(x)) for x in got.has_witness.tolist())
+            seen.update(("edges", bool(x)) for x in got.equal_edge_count.tolist())
+            seen.update(("c4", bool(x)) for x in got.both_contain_c4.tolist())
+        assert all(seen[key, flag] for key in ("witness", "edges", "c4")
+                   for flag in (False, True))
+
+    def test_no_graph_built_per_member(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Graph built on the array path")
+
+        monkeypatch.setattr(miner.Graph, "from_edge_mask", refuse)
+        monkeypatch.setattr(miner.Graph, "_from_adj_unchecked", refuse)
+        groups = miner.collision_arrays(5, "closed-multiset")
+        assert len(groups.fingerprints) == 40 and len(groups.graph6()) == 40
+        assert miner.pair_checks(5, *groups.all_pairs()).all_ok().all()
+        assert verify_collisions(5).pairs_checked == 60
+
+    @pytest.mark.parametrize("n,ems", [(6, all_edge_masks(6)),
+                                       (8, seeded_edge_masks(8, 2000, 28))])
+    def test_edge_counts(self, n, ems):
+        assert miner._edge_counts(ems).tolist() == \
+            [Graph.from_edge_mask(n, em).edge_count() for em in ems.tolist()]
+
+    def test_no_numpy2_popcount(self, monkeypatch):
+        # np.bitwise_count arrived in numpy 2.0; the declared floor is 1.24
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        groups = miner.collision_arrays(5, "closed-multiset")
+        assert len(groups.graph6()) == 40
+        assert miner.pair_checks(5, *groups.first_pairs()).all_ok().all()
+        assert verify_collisions(5).pairs_checked == 60
+
+
+class TestVerifyErrors:
+    """A doctored kernel flag makes verify name the first failing pair."""
+
+    MESSAGES = {
+        "has_witness": "no matching permutation for pair",
+        "equal_edge_count": "edge counts differ:",
+        "orbits_are_cliques": "orbit not a clique:",
+        "edge_transit": "edge transit fails:",
+        "both_contain_c4": "collision pair without induced C4:",
+    }
+
+    def test_c4_flag_cleared_for_one_graph(self, monkeypatch):
+        pairs = oracle_collision_pairs(5)
+        doctored = edge_mask(pairs[7][1])
+        first = next((g, h) for g, h in pairs if doctored in (edge_mask(g), edge_mask(h)))
+        real = miner._induced_c4
+        monkeypatch.setattr(miner, "_induced_c4",
+                            lambda n, ems: real(n, ems) & (ems != doctored))
+        with pytest.raises(VerificationError) as exc:
+            verify_collisions(5)
+        assert str(exc.value) == \
+            f"collision pair without induced C4: {first[0]!r} / {first[1]!r}"
+
+    @pytest.mark.parametrize("cleared", [
+        ("both_contain_c4",), ("edge_transit",), ("orbits_are_cliques",),
+        ("equal_edge_count",), ("has_witness",),
+        ("both_contain_c4", "equal_edge_count", "edge_transit"),
+    ])
+    def test_first_failing_check_named(self, monkeypatch, cleared):
+        at = [11, 40]
+        real = miner.pair_checks
+
+        def doctored(n, g, h):
+            got = real(n, g, h)
+            changes = {}
+            for name in cleared:
+                flags = getattr(got, name).copy()
+                flags[at] = False
+                changes[name] = flags
+            return dataclasses.replace(got, **changes)
+
+        monkeypatch.setattr(miner, "pair_checks", doctored)
+        g, h = oracle_collision_pairs(5)[at[0]]
+        first = min(cleared, key=list(self.MESSAGES).index)
+        with pytest.raises(VerificationError) as exc:
+            verify_collisions(5)
+        assert str(exc.value) == f"{self.MESSAGES[first]} {g!r} / {h!r}"
+
+
+def edge_mask(g):
+    """Inverse of ``Graph.from_edge_mask``."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    return sum(1 << k for k, (u, v) in enumerate(pairs) if g.has_edge(u, v))
