@@ -32,7 +32,7 @@ from .formats import (
     to_graph6,
 )
 from .graphs import VertexSet, mask_members
-from .miner import collision_arrays, pair_checks, verify_collisions
+from .miner import KINDS, collision_arrays, pair_checks, verify_collisions
 from .reconstruct import (
     DEFAULT_SOLUTION_LIMIT,
     ReconstructionResult,
@@ -251,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="sweep all labeled graphs for invariant collisions")
     p.add_argument("--n", type=int, required=True, help="vertex count")
-    p.add_argument("--kind", default="closed-multiset",
-                   choices=("closed-multiset", "closed-support", "open-multiset"))
+    p.add_argument("--kind", default="closed-multiset", choices=KINDS)
     p.add_argument("--deep", action="store_true",
                    help="allow the large sweeps (n=7 is millions of graphs, n=8 hours)")
     p.add_argument("--jobs", type=int, default=1,

@@ -315,11 +315,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 
-    def edges_by_label(self) -> frozenset[frozenset]:
-        """Edge set written with labels; handy for comparing relabeled graphs."""
-        return frozenset(frozenset((self.labels[u], self.labels[v]))
-                         for u, v in self.edges())
-
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(m.bit_count() for m in self._adj))
 

@@ -14,10 +14,11 @@ stop at n = 8, so an edge mask fits a uint32 and a neighborhood one byte.
 * ``_neighborhood_rows`` turns edge masks into an (n, N) uint8 array whose
   row v holds every graph's closed or open neighborhood of v.
 * ``_fingerprint_keys_chunk`` sorts those rows with a compare-exchange
-  network and packs them into one uint64 key per graph; chunks of the
+  network and packs them into one uint64 key per graph, the smallest mask
+  most significant, so key order is fingerprint order; chunks of the
   edge-mask range can run in worker processes.
-* ``collision_arrays`` argsorts the keys and keeps each run of two or more
-  equal keys: the members' edge masks in group order, plus offsets.
+* ``collision_arrays`` argsorts the keys once and keeps each run of two or
+  more equal keys: the members' edge masks in group order, plus offsets.
 * ``graph6_strings`` writes graph6 straight from edge masks.
 * ``pair_checks`` makes every structural check on many closed-multiset
   pairs at once; ``_induced_c4`` is its induced-C4 flag.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -137,10 +138,12 @@ def _sort_rows(rows: np.ndarray) -> None:
 def _fingerprint_keys_chunk(n: int, kind: str, lo: int, hi: int) -> np.ndarray:
     """Packed invariant keys for edge masks in [lo, hi); one uint64 per graph.
 
-    Each graph's neighborhood masks are sorted and mask i goes to bits n*i
-    and up, so n masks of n bits fill at most 64 bits.  For the support,
-    repeated masks are zeroed and sorted to the front (closed masks are
-    never zero).
+    Each graph's neighborhood masks are sorted and mask i goes to bits
+    n*(n-1-i) and up, the smallest mask most significant, so n masks of n
+    bits fill at most 64 bits.  For the support, repeated masks are zeroed
+    and sorted to the back (closed masks are never zero), so a support that
+    is a proper prefix of another sorts first.  Key order is therefore the
+    tuple order of :func:`invariant_fingerprint`.
     """
     edge_masks = np.arange(lo, hi, dtype=np.uint32)
     rows = _neighborhood_rows(n, edge_masks, closed=kind != "open-multiset")
@@ -148,10 +151,12 @@ def _fingerprint_keys_chunk(n: int, kind: str, lo: int, hi: int) -> np.ndarray:
     if kind == "closed-support":
         for i in range(n - 1, 0, -1):
             rows[i] *= rows[i] != rows[i - 1]
+        rows -= 1  # a zeroed repeat wraps to 255 and sorts last
         _sort_rows(rows)
+        rows += 1
     keys = np.zeros(hi - lo, dtype=np.uint64)
     for i in range(n):
-        keys |= rows[i].astype(np.uint64) << (n * i)
+        keys |= rows[i].astype(np.uint64) << (n * (n - 1 - i))
     return keys
 
 
@@ -224,8 +229,9 @@ def collision_arrays(n: int, kind: str = "closed-multiset",
     keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
     del parts  # here and below: at n = 8 each of these arrays is 1-2 GB
 
-    # The stable argsort keeps equal keys in edge-mask order; a graph is in
-    # a group exactly when its key equals a neighbour's.
+    # The stable argsort keeps equal keys in edge-mask order and puts the
+    # groups in fingerprint order; a graph is in a group exactly when its key
+    # equals a neighbour's.
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     same = keys[1:] == keys[:-1]
@@ -238,21 +244,16 @@ def collision_arrays(n: int, kind: str = "closed-multiset",
     opens = np.ones(len(keys), dtype=bool)
     opens[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(opens)
-    sizes = np.diff(np.append(starts, len(keys)))
 
-    # Fingerprints are compared as tuples: mask by mask from the smallest.
-    # A support's zero padding goes to the back, so a proper prefix sorts first.
-    fields = (keys[starts, None] >> (n * np.arange(n, dtype=np.uint64))) & np.uint64((1 << n) - 1)
-    if kind == "closed-support":
-        fields = np.take_along_axis(fields, np.argsort(fields == 0, axis=1, kind="stable"),
-                                    axis=1)
-    rank = np.lexsort(fields.T[::-1])
-    fields, starts, sizes = fields[rank], starts[rank], sizes[rank]
-    lengths = np.count_nonzero(fields, axis=1) if kind == "closed-support" else [n] * len(rank)
-    fingerprints = tuple(tuple(fp[:k]) for fp, k in zip(fields.tolist(), lengths))
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    members = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
-    return CollisionArrays(kind, n, fingerprints, edge_masks[members], offsets)
+    # A closed mask is never zero, so a zero field of a closed kind is padding.
+    shifts = n * np.arange(n - 1, -1, -1, dtype=np.uint64)
+    fields = ((keys[starts, None] >> shifts) & np.uint64((1 << n) - 1)).tolist()
+    if kind == "open-multiset":
+        fingerprints = tuple(map(tuple, fields))
+    else:
+        fingerprints = tuple(tuple(f for f in fp if f) for fp in fields)
+    return CollisionArrays(kind, n, fingerprints, edge_masks,
+                           np.append(starts, len(keys)))
 
 
 def find_collisions(n: int, kind: str = "closed-multiset",
@@ -299,29 +300,16 @@ def graph6_strings(n: int, edge_masks: np.ndarray) -> list[str]:
 
 @dataclass(frozen=True, slots=True)
 class PermutationWitness:
-    """A permutation sigma with N_G[v] = N_H[sigma(v)], plus its orbits."""
+    """A permutation sigma with N_G[v] = N_H[sigma(v)]; ``orbits`` holds the
+    vertex sets of its cycles, in order of their least vertex."""
 
     sigma: tuple[int, ...]
-    orbits: tuple[VertexSet, ...]
+    orbits: tuple[VertexSet, ...] = field(init=False)
 
     def __post_init__(self):
         n = len(self.sigma)
         if sorted(self.sigma) != list(range(n)):
             raise InputError("sigma is not a bijection on 0..n-1")
-        seen = 0
-        for orbit in self.orbits:
-            if orbit.universe != n or not orbit or orbit.bits & seen:
-                raise InputError("orbits must be nonempty and disjoint")
-            seen |= orbit.bits
-            for v in orbit:
-                if self.sigma[v] not in orbit:
-                    raise InputError(f"orbit {orbit!r} is not closed under sigma")
-        if seen != (1 << n) - 1:
-            raise InputError("orbits must cover the vertex set")
-
-    @classmethod
-    def from_sigma(cls, sigma: tuple[int, ...]) -> "PermutationWitness":
-        n = len(sigma)
         unseen = set(range(n))
         orbits = []
         while unseen:
@@ -331,9 +319,9 @@ class PermutationWitness:
             while w in unseen:
                 unseen.remove(w)
                 cyc |= 1 << w
-                w = sigma[w]
+                w = self.sigma[w]
             orbits.append(VertexSet(cyc, n))
-        return cls(tuple(sigma), tuple(orbits))
+        object.__setattr__(self, "orbits", tuple(orbits))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition; each cycle starts at its minimum element."""
@@ -374,7 +362,7 @@ def witness_permutation(g: Graph, h: Graph) -> PermutationWitness | None:
         if not bucket:
             return None
         sigma.append(bucket.pop())
-    return PermutationWitness.from_sigma(tuple(sigma))
+    return PermutationWitness(tuple(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +466,7 @@ class PairArrays:
     def cycle_notations(self) -> list[str | None]:
         """:meth:`PermutationWitness.cycle_notation` of each pair's witness."""
         distinct, which = np.unique(self.sigma, axis=0, return_inverse=True)
-        notation = [PermutationWitness.from_sigma(tuple(sigma)).cycle_notation()
+        notation = [PermutationWitness(tuple(sigma)).cycle_notation()
                     for sigma in distinct.tolist()]
         return [notation[i] if ok else None
                 for i, ok in zip(which.tolist(), self.has_witness.tolist())]

@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from nbhdrecon import Graph, VertexSet, contains_induced_c4
+from nbhdrecon.families import _POPCOUNT8
 from nbhdrecon.graphs import mask_members
 
 
@@ -314,7 +315,8 @@ def girth5_edge_masks(n: int) -> np.ndarray:
         common = cols[:, u] & cols[:, v]
         edge = ((ems >> np.uint64(k)) & np.uint64(1)).astype(bool)
         bad |= edge & (common != 0)                      # triangle
-        bad |= np.bitwise_count(common) >= 2             # 4-cycle
+        popcount = _POPCOUNT8.take(common.view(np.uint8)).reshape(-1, 8).sum(axis=1)
+        bad |= popcount >= 2                             # 4-cycle
     return ems[~bad]
 
 

@@ -187,12 +187,17 @@ class TestWitnessPermutation:
             inv = [0] * len(w.sigma)
             for v, u in enumerate(w.sigma):
                 inv[u] = v
-            w_inv = PermutationWitness.from_sigma(tuple(inv))
+            w_inv = PermutationWitness(tuple(inv))
             assert set(w.orbits) == set(w_inv.orbits)
 
     def test_universe_mismatch_rejected(self):
         with pytest.raises(InputError):
             witness_permutation(Graph(3), Graph(4))
+
+    @pytest.mark.parametrize("sigma", [(0, 0, 2), (1, 2), (0, 1, 3), (-1, 0)])
+    def test_non_bijection_rejected(self, sigma):
+        with pytest.raises(InputError):
+            PermutationWitness(sigma)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_least_sigma_on_every_collision_pair(self, n):
@@ -273,16 +278,31 @@ class TestArrayKernels:
             assert c == [g.closed_mask(v) for v in range(n)]
             assert o == [g.adjacency_mask(v) for v in range(n)]
 
+    @staticmethod
+    def check_keys(n, kind, lo, hi):
+        # mask i of the sorted invariant sits at bits n*(n-1-i); a support is
+        # zero-padded at the back; sorting the keys sorts the fingerprints
+        keys = miner._fingerprint_keys_chunk(n, kind, lo, hi)
+        fps = [invariant_fingerprint(Graph.from_edge_mask(n, em), kind)
+               for em in range(lo, hi)]
+        for key, fp in zip(keys.tolist(), fps):
+            fp = fp + (0,) * (n - len(fp))
+            assert key == sum(m << (n * (n - 1 - i)) for i, m in enumerate(fp))
+        assert [fps[i] for i in np.argsort(keys, kind="stable")] == sorted(fps)
+        return keys
+
     @pytest.mark.parametrize("kind", miner.KINDS)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_keys_pack_invariant_fingerprint(self, n, kind):
-        # mask i of the sorted invariant sits at bits n*i; a support is
-        # zero-padded at the front
-        keys = miner._fingerprint_keys_chunk(n, kind, 0, 1 << (n * (n - 1) // 2))
-        for em, key in enumerate(keys.tolist()):
-            fp = invariant_fingerprint(Graph.from_edge_mask(n, em), kind)
-            fp = (0,) * (n - len(fp)) + fp
-            assert key == sum(m << (n * i) for i, m in enumerate(fp))
+        self.check_keys(n, kind, 0, 1 << (n * (n - 1) // 2))
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    @pytest.mark.parametrize("lo", [0, (1 << 28) - 2000])
+    def test_keys_pack_at_n8(self, lo, kind):
+        # the top chunk ends at K8: every key bit and the closed mask 0xFF occur
+        keys = self.check_keys(8, kind, lo, lo + 2000)
+        if kind == "closed-multiset" and lo:
+            assert keys[-1] == np.uint64((1 << 64) - 1)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_graph6_every_graph(self, n):
