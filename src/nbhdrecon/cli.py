@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -19,6 +20,7 @@ from .convexity import convexity_witness, digital_convexity
 from .errors import InputError, NbhdReconError
 from .families import neighborhood_multiset
 from .formats import (
+    collision_json_blocks,
     dumps_canonical,
     family_from_json_dict,
     family_to_json_dict,
@@ -155,29 +157,15 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    """One JSON line per collision group, written in blocks by
+    :func:`~nbhdrecon.formats.collision_json_blocks`; each line equals
+    ``dumps_canonical`` of the group's record."""
     groups = collision_arrays(args.n, args.kind, allow_large=args.deep, jobs=args.jobs)
-    graph6 = groups.graph6()
-    if groups.kind == "closed-multiset":
-        first = pair_checks(groups.n, *groups.first_pairs())
-        witnesses = first.cycle_notations()
-        checks = [{"equal_edge_count": e, "orbits_are_cliques": o,
-                   "edge_transit": t, "both_contain_c4": c}
-                  for e, o, t, c in zip(first.equal_edge_count.tolist(),
-                                        first.orbits_are_cliques.tolist(),
-                                        first.edge_transit.tolist(),
-                                        first.both_contain_c4.tolist())]
-    members_of = [list(mask_members(m)) for m in range(1 << groups.n)]
-    for i, fp in enumerate(groups.fingerprints):
-        record = {
-            "kind": groups.kind,
-            "n": groups.n,
-            "fingerprint": [members_of[m] for m in fp],
-            "graphs": graph6[i],
-        }
-        if groups.kind == "closed-multiset":
-            record["witness"] = witnesses[i]
-            record["checks"] = checks[i]
-        print(dumps_canonical(record))
+    first = (pair_checks(groups.n, *groups.first_pairs())
+             if groups.kind == "closed-multiset" else None)
+    for block in collision_json_blocks(groups, first):
+        sys.stdout.write(block)
+    sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     return EXIT_OK
 
 
@@ -279,6 +267,18 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (``mine ... | head``): stop without a
+        # message, and send what is still buffered to devnull so that the
+        # interpreter's last flush does not raise it again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # in-process stand-ins have no descriptor
+            return EXIT_USAGE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_USAGE
     except NbhdReconError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

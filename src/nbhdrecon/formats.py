@@ -10,18 +10,30 @@ each set a sorted integer array; canonical output orders the sets by (size,
 lexicographic), which keeps serialized families diff-stable.  Multisets use
 the same shape with repeated arrays.  Graphs serialize as
 ``{"n": ..., "labels": [...], "adjacency": [[...], ...]}``.
+
+JSON output is ``dumps_canonical``: compact, keys sorted.  The one stream
+too large for a dict and a ``json.dumps`` per record, the collision groups
+of ``mine``, is written by ``collision_json_blocks`` straight from the
+miner's arrays in fixed-format blocks; ``dumps_canonical`` of the record
+dict stays its test oracle, and the two agree byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from itertools import repeat
 
 from .errors import FormatError, InputError
 from .families import NeighborhoodMultiset, SetFamily
 from .graphs import Graph, mask_members
+from .miner import CollisionArrays, PairArrays, graph6_strings
 
 GRAPH6_MAX_VERTICES = 62
 GRAPH6_HEADER = ">>graph6<<"
+
+#: Collision groups per text block of :func:`collision_json_blocks`.
+MINE_BLOCK_GROUPS = 4096
 
 
 def to_graph6(g: Graph) -> str:
@@ -215,3 +227,50 @@ def parse_json(text: str):
 def dumps_canonical(obj: dict) -> str:
     """Compact single-line JSON with stable key order."""
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+def collision_json_blocks(groups: CollisionArrays,
+                          first: PairArrays | None = None) -> Iterator[str]:
+    """The JSON lines of ``mine``, one per collision group, in text blocks of
+    :data:`MINE_BLOCK_GROUPS` groups.
+
+    Line i is ``dumps_canonical`` of group i's record, written straight
+    from the arrays with its keys in sorted order: ``fingerprint``,
+    ``graphs`` (graph6 of the members), ``kind`` and ``n``, and for a
+    closed multiset ``checks`` and ``witness`` from ``first``, the
+    :func:`~nbhdrecon.miner.pair_checks` of ``groups.first_pairs()``.
+    """
+    n = groups.n
+    members = ["[" + ",".join(map(str, mask_members(m))) + "]" for m in range(1 << n)]
+    tail = f'"],"kind":"{groups.kind}","n":{n}'
+    if first is not None:
+        flags = (8 * first.both_contain_c4 + 4 * first.edge_transit
+                 + 2 * first.equal_edge_count + first.orbits_are_cliques).tolist()
+        check_heads = [
+            '{"checks":' + dumps_canonical({
+                "both_contain_c4": bool(f & 8), "edge_transit": bool(f & 4),
+                "equal_edge_count": bool(f & 2), "orbits_are_cliques": bool(f & 1),
+            }) + ',"fingerprint":[' for f in range(16)]
+        witnesses = first.cycle_notations()
+        witness_tails = {w: tail + ',"witness":' + json.dumps(w) + "}\n"
+                         for w in set(witnesses)}
+    bounds = groups.offsets.tolist()
+    count = len(groups.fingerprints)
+    for lo in range(0, count, MINE_BLOCK_GROUPS):
+        hi = min(lo + MINE_BLOCK_GROUPS, count)
+        if first is None:
+            heads = repeat('{"fingerprint":[')
+            tails = repeat(tail + "}\n")
+        else:
+            heads = map(check_heads.__getitem__, flags[lo:hi])
+            tails = map(witness_tails.__getitem__, witnesses[lo:hi])
+        at = bounds[lo]
+        graph6 = graph6_strings(n, groups.edge_masks[at:bounds[hi]])
+        lines = [head + ",".join(map(members.__getitem__, fp)) + '],"graphs":["'
+                 + '","'.join(graph6[start - at:stop - at]) + end
+                 for fp, start, stop, head, end in zip(
+                     groups.fingerprints[lo:hi], bounds[lo:hi], bounds[lo + 1:hi + 1],
+                     heads, tails)]
+        # graph6 bytes run from 63 to 126, so the backslash is the one
+        # character in a line that JSON escapes.
+        yield "".join(lines).replace("\\", "\\\\")

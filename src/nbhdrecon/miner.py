@@ -29,7 +29,8 @@ suite: ``invariant_fingerprint`` for the keys, ``formats.to_graph6`` for
 graph6, ``contains_induced_c4`` for the C4 flag, and
 ``check_collision_pair`` with ``witness_permutation`` for the pair checks.
 ``find_collisions`` hands groups out as ``Graph`` objects; the ``mine`` and
-``verify`` commands build none per member.
+``verify`` commands build none per member, and ``mine`` writes its JSON
+lines from these arrays with ``formats.collision_json_blocks``.
 """
 
 from __future__ import annotations
@@ -178,12 +179,6 @@ class CollisionArrays:
     fingerprints: tuple[tuple[int, ...], ...]
     edge_masks: np.ndarray
     offsets: np.ndarray
-
-    def graph6(self) -> list[list[str]]:
-        """The graph6 strings of each group's members."""
-        out = graph6_strings(self.n, self.edge_masks)
-        bounds = self.offsets.tolist()
-        return [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def first_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge masks of each group's first two members."""
@@ -465,9 +460,12 @@ class PairArrays:
 
     def cycle_notations(self) -> list[str | None]:
         """:meth:`PermutationWitness.cycle_notation` of each pair's witness."""
-        distinct, which = np.unique(self.sigma, axis=0, return_inverse=True)
+        # A row read as 3-bit digits (n <= 8) is one integer, so a 1-D sort
+        # finds the distinct witnesses.
+        codes = (self.sigma << 3 * np.arange(self.sigma.shape[1])).sum(axis=1)
+        _, first, which = np.unique(codes, return_index=True, return_inverse=True)
         notation = [PermutationWitness(tuple(sigma)).cycle_notation()
-                    for sigma in distinct.tolist()]
+                    for sigma in self.sigma[first].tolist()]
         return [notation[i] if ok else None
                 for i, ok in zip(which.tolist(), self.has_witness.tolist())]
 

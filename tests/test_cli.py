@@ -1,9 +1,14 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nbhdrecon import closed_support, miner, neighborhood_multiset
+from nbhdrecon import closed_support, formats, miner, neighborhood_multiset
 from nbhdrecon.cli import main
 from nbhdrecon.formats import (
     family_to_json_dict,
@@ -20,6 +25,18 @@ from helpers import (
     oracle_verify_line,
     pg,
 )
+
+
+# sha256 and line count of ``mine --n 7 --deep`` per kind: the bytes of each
+# group's record dict written by ``dumps_canonical``, as the oracle builds it.
+MINE_N7_OUTPUT = {
+    "closed-multiset":
+        ("525b4480bb8df69f08f162e0572028fcd63b5bf237d74c6d801485455aab0e0d", 54544),
+    "closed-support":
+        ("93ea4afdc2c0501a4b75a923f29850978ad51c9febb011aa84cd92bfcfe6af8b", 73990),
+    "open-multiset":
+        ("484bbbcf3b33b8eb3c9a185334971457bd0ad9b84ec243433f0d76d011136974", 54544),
+}
 
 
 def run(capsys, *argv):
@@ -196,10 +213,22 @@ class TestMineAndVerify:
 
     @pytest.mark.parametrize("kind", ["closed-multiset", "closed-support", "open-multiset"])
     @pytest.mark.parametrize("n", [5, 6])
-    def test_mine_output_matches_per_graph_reference(self, capsys, n, kind):
+    def test_mine_output_matches_per_graph_reference(self, capsys, monkeypatch, n, kind):
+        # A small prime puts block boundaries inside the output; the default
+        # block holds more groups than n = 6 has.
+        monkeypatch.setattr(formats, "MINE_BLOCK_GROUPS", 7)
         code, out, err = run(capsys, "mine", "--n", str(n), "--kind", kind)
         assert (code, err) == (0, "")
         assert out == "".join(line + "\n" for line in oracle_mine_lines(n, kind))
+        assert "\\\\" in out  # a graph6 backslash, escaped
+
+    @pytest.mark.parametrize("kind", ["closed-multiset", "closed-support", "open-multiset"])
+    def test_mine_n7_output_pinned(self, capsys, kind):
+        digest, lines = MINE_N7_OUTPUT[kind]
+        code, out, err = run(capsys, "mine", "--n", "7", "--deep", "--kind", kind)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("kind", ["closed-multiset", "closed-support", "open-multiset"])
     def test_mine_jobs_output_matches_per_graph_reference(self, capsys, monkeypatch, kind):
@@ -278,6 +307,33 @@ class TestErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_closed_pipe_exits_one_quietly(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, s):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["mine", "--n", "5"])
+        monkeypatch.undo()
+        assert (code, capsys.readouterr().err) == (1, "")
+
+    @pytest.mark.parametrize("n", ["4", "6"])
+    def test_closed_pipe_in_a_process_exits_one_quietly(self, n):
+        # The reader is gone before the first write.  At n = 4 the one line
+        # fits stdout's buffer, so the pipe fails at mine's flush and the
+        # line stays buffered: the interpreter's last flush must not report
+        # it.  At n = 6 the first write fails.
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "nbhdrecon.cli", "mine", "--n", n],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 class TestInputContracts:
