@@ -165,7 +165,6 @@ def cmd_mine(args) -> int:
              if groups.kind == "closed-multiset" else None)
     for block in collision_json_blocks(groups, first):
         sys.stdout.write(block)
-    sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     return EXIT_OK
 
 
@@ -266,7 +265,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except BrokenPipeError:
         # The reader closed stdout (``mine ... | head``): stop without a
         # message, and send what is still buffered to devnull so that the

@@ -2,16 +2,16 @@
 
 Three entry points, one per invariant:
 
-* :func:`from_multiset`  - from the multiset of closed neighborhoods, by an
-  exact backtracking realizer;
-* :func:`from_support`   - from the set of closed neighborhoods, by the
-  quotient-and-blow-up pipeline over twin classes;
+* :func:`from_multiset`  - from the multiset of closed neighborhoods;
+* :func:`from_support`   - from the set of closed neighborhoods, through the
+  quotient over twin classes;
 * :func:`from_digital_convexity` - from the family of digitally convex sets,
   by complementing into neighborhood unions and reducing them once, onto
   the closed neighborhoods of the base vertices.
 
-Both set-family paths end in one call to the multiset realizer and one
-blow-up, :func:`_expand`, of each realization back to the whole universe.
+One private exact search, :func:`_realize`, sits under all three.  Both
+set-family paths hand it a multiset with every multiplicity one and blow
+each realization up to the whole universe with :func:`_expand`.
 The convexity reduction suffices: with S the base vertices, the graph
 induced on S is twin-free and none of its closed neighborhoods is a union of
 the others, so the union basis cut down to S is its closed-neighborhood
@@ -19,10 +19,12 @@ multiset with every multiplicity one; every other N[v] is the union of the
 N[b], b in S, that it contains, so every realization of that multiset lifts
 to a graph with the same convexity, and re-verification rejects none.
 
-All three return a :class:`ReconstructionResult` whose verdict is one of
-``unique`` / ``ambiguous`` / ``infeasible``.  Inputs are untrusted: every
-graph is re-verified against the input invariant before it is returned, and
-unrealizable families yield the infeasible verdict rather than an exception.
+Input is validated once, at the public entry point; the masks the library
+derives from it are not re-validated.  All three return a
+:class:`ReconstructionResult` whose verdict is one of ``unique`` /
+``ambiguous`` / ``infeasible``.  Inputs are untrusted: each returned graph
+is re-verified once, against the caller's input, and unrealizable families
+yield the infeasible verdict rather than an exception.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from .convexity import (
     CONVEXITY_ENUMERATION_CEILING,
     check_convexity_axioms,
-    complement_family,
     digital_convexity,
 )
 from .errors import InputError, ResourceLimitError, UnrealizableFamilyError
@@ -97,8 +98,14 @@ class ReconstructionResult:
         return self.verdict != "infeasible"
 
 
-def _verdict(mode: str, graphs: list[Graph], truncated: bool,
-             nodes: int, t0: float) -> ReconstructionResult:
+def _verdict(mode: str, limit: int, cap: int, candidates: list[Graph], nodes: int,
+             t0: float, reference, kind: str) -> ReconstructionResult:
+    """The tail shared by the three entry points: re-verify the first
+    ``limit`` candidates once against the caller's ``reference``, sort them
+    and name the verdict.  The search stops at ``cap`` candidates, so
+    reaching it means more realizations exist than are returned."""
+    graphs = [h for h in candidates[:limit] if realizes(h, reference, kind)]
+    truncated = len(candidates) == cap
     elapsed = time.perf_counter() - t0
     if not graphs:
         return ReconstructionResult("infeasible", (), truncated, nodes, elapsed)
@@ -190,62 +197,48 @@ def quotient_family(gen: SetFamily, classes: EquivalenceClasses) -> SetFamily:
 # ---------------------------------------------------------------------------
 
 
-def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
-                  limit: int = DEFAULT_SOLUTION_LIMIT) -> ReconstructionResult:
-    """Find labeled graphs whose closed-neighborhood multiset equals ``m``.
+def _realize(n: int, entries, cap: int) -> tuple[list[tuple[int, ...]], int]:
+    """Up to ``cap`` graphs on n vertices whose closed neighborhoods are the
+    canonically ordered ``(mask, multiplicity)`` ``entries``, as adjacency
+    tuples in search order, and the number of nodes explored.
 
-    Each vertex v takes one entry M_v of the multiset that contains v,
-    respecting multiplicities; the choice pins N[v] = M_v, so u~v needs
-    u in M_v exactly when v in M_u.  The search is forward checking with
-    the fewest-candidates-first rule (Haralick & Elliott 1980): every
-    unplaced vertex u keeps a domain, the bitmask of entries it can still
-    take, starting as ``inc[u]``, the entries that contain u.  Placing v on
-    M narrows each domain to the entries that contain v when u is in M and
-    to those that miss v otherwise; an entry whose multiplicity runs out
-    leaves every domain, and an empty domain prunes the branch.  The next
-    vertex placed is the one with the smallest domain, the lowest id on
-    ties.  ``nodes_explored`` counts the placements that survive this
-    check.  Completed assignments are realizations by construction; they
-    are still re-verified before being returned.
-
-    ``all`` and ``count`` look for ``limit + 1`` solutions and return at
-    most ``limit``, so ``truncated`` means more realizations exist than
-    were returned.
+    Each vertex v takes one entry M_v that contains v, respecting
+    multiplicities; the choice pins N[v] = M_v, so u~v needs u in M_v
+    exactly when v in M_u.  The search is forward checking with the
+    fewest-candidates-first rule (Haralick & Elliott 1980): every unplaced
+    vertex u keeps a domain, the bitmask of entries it can still take,
+    starting as ``inc[u]``, the entries that contain u.  Placing v on M
+    narrows each domain to the entries that contain v when u is in M and to
+    those that miss v otherwise; an entry whose multiplicity runs out leaves
+    every domain, and an empty domain prunes the branch.  The next vertex
+    placed is the one with the smallest domain, the lowest id on ties.  The
+    node count is the placements that survive this check.  Completed
+    assignments are realizations by construction; the caller re-verifies
+    the ones it returns.
     """
-    t0 = time.perf_counter()
-    cap = _check_mode(mode, limit, m.universe)
-    n = m.universe
-    nodes = 0
-
-    if m.total_multiplicity != n:
-        return _verdict(mode, [], False, nodes, t0)
-    degree_sum = sum(mult * (mask.bit_count() - 1) for mask, mult in m.entries)
-    if degree_sum % 2:
-        return _verdict(mode, [], False, nodes, t0)
-
-    entry_masks = [mask for mask, _ in m.entries]
-    remaining = [mult for _, mult in m.entries]
+    if (sum(mult for _, mult in entries) != n  # total multiplicity, degree parity
+            or sum(mult * (mask.bit_count() - 1) for mask, mult in entries) % 2):
+        return [], 0
+    entry_masks = [mask for mask, _ in entries]
+    remaining = [mult for _, mult in entries]
     inc = [0] * n
     for j, mask in enumerate(entry_masks):
         for v in mask_members(mask):
             inc[v] |= 1 << j
     if not all(inc):
-        return _verdict(mode, [], False, nodes, t0)
+        return [], 0
 
+    nodes = 0
     assigned = [0] * n
-    solutions: list[Graph] = []
+    found: list[tuple[int, ...]] = []
 
     def walk(free: tuple[int, ...], doms: list[int]) -> bool:
         """Depth-first over the unplaced vertices ``free`` (ascending) and
         their domains; True means the cap cut the search."""
         nonlocal nodes
         if not free:
-            adj = tuple(assigned[v] & ~(1 << v) for v in range(n))
-            h = Graph._from_adj_unchecked(n, adj)
-            if realizes(h, m, "multiset"):
-                solutions.append(h)
-                return len(solutions) >= cap
-            return False
+            found.append(tuple(assigned[v] & ~(1 << v) for v in range(n)))
+            return len(found) >= cap
         sizes = list(map(int.bit_count, doms))
         k = sizes.index(min(sizes))
         v, dom = free[k], doms[k]
@@ -269,7 +262,18 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
         return False
 
     walk(tuple(range(n)), inc)
-    return _verdict(mode, solutions[:limit], len(solutions) == cap, nodes, t0)
+    return found, nodes
+
+
+def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
+                  limit: int = DEFAULT_SOLUTION_LIMIT) -> ReconstructionResult:
+    """Find labeled graphs whose closed-neighborhood multiset equals ``m``,
+    by the exact search :func:`_realize` over its entries."""
+    t0 = time.perf_counter()
+    cap = _check_mode(mode, limit, m.universe)
+    found, nodes = _realize(m.universe, m.entries, cap)
+    candidates = [Graph._from_adj_unchecked(m.universe, adj) for adj in found]
+    return _verdict(mode, limit, cap, candidates, nodes, t0, m, "multiset")
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +281,8 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
 # ---------------------------------------------------------------------------
 
 
-def _expand(q: Graph, canon: list[int]) -> Graph:
-    """Blow a graph ``q`` on representatives up to the whole universe.
+def _expand(q: tuple[int, ...], canon: list[int]) -> Graph:
+    """Blow the graph on representatives with adjacency tuple ``q`` up to V.
 
     ``canon[v]`` is the mask of the representatives whose closed
     neighborhoods make up N[v].  w is adjacent to v exactly when a
@@ -286,14 +290,14 @@ def _expand(q: Graph, canon: list[int]) -> Graph:
     representative of v, which is symmetric because q is.
     """
     n = len(canon)
-    owners = [0] * q.n  # owners[r]: the vertices with r among their representatives
+    owners = [0] * len(q)  # owners[r]: the vertices with r among their representatives
     for v, c in enumerate(canon):
         for r in mask_members(c):
             owners[r] |= 1 << v
     reach = []  # reach[r]: the vertices owning a representative in N_q[r]
-    for r in range(q.n):
+    for r, row_q in enumerate(q):
         row = 0
-        for s in mask_members(q.adjacency_mask(r) | (1 << r)):
+        for s in mask_members(row_q | (1 << r)):
             row |= owners[s]
         reach.append(row)
     adj = []
@@ -312,24 +316,21 @@ def from_support(f: SetFamily, mode: str = "all",
     Pipeline: twin classes from the family, quotient family over the class
     universe (one closed neighborhood per class, all multiplicities one),
     exact realization of the quotient, then blow-up of each class into a
-    clique of twins.  Every candidate is re-verified against ``f``.  The
-    classes come from f's own signatures, so the quotient cannot fail; the
-    realizer rejects a vertex in no member and a member count other than
-    the class count.
+    clique of twins.  The classes come from f's own signatures, so the
+    quotient cannot fail; the realizer rejects a vertex in no member and a
+    member count other than the class count.
     """
     t0 = time.perf_counter()
-    _check_mode(mode, limit, f.universe)
+    cap = _check_mode(mode, limit, f.universe)
     classes = equivalence_classes(f)
-    quotient = quotient_family(f, classes)
-    sub = from_multiset(NeighborhoodMultiset(len(classes.blocks), quotient.masks),
-                        mode, limit)
+    quotient = quotient_family(f, classes)  # canonically ordered
+    found, nodes = _realize(len(classes.blocks), [(q, 1) for q in quotient.masks], cap)
     canon = [0] * f.universe
     for i, block in enumerate(classes.blocks):
         for v in block:
             canon[v] = 1 << i
-    graphs = [h for h in (_expand(q, canon) for q in sub.graphs)
-              if realizes(h, f, "support")]
-    return _verdict(mode, graphs, sub.truncated, sub.nodes_explored, t0)
+    candidates = [_expand(q, canon) for q in found]
+    return _verdict(mode, limit, cap, candidates, nodes, t0, f, "support")
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +350,11 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     fixed by G[S]: v ~ w exactly when N[can(v)] meets can(w).  G[S] is
     twin-free and none of its closed neighborhoods is a union of the
     others, so the union-irreducible members of U, cut down to S, are its
-    closed neighborhoods, each once.  One realizer call on that multiset
-    and one blow-up through can() give every candidate; each candidate's
-    convexity is recomputed and compared before it is returned.
+    closed neighborhoods, each once.  One realizer call on them and one
+    blow-up through can() give every candidate.
     """
     t0 = time.perf_counter()
-    _check_mode(mode, limit, d.universe)
+    cap = _check_mode(mode, limit, d.universe)
     n = d.universe
     if n > CONVEXITY_ENUMERATION_CEILING:
         # every candidate is re-verified by enumerating its convexity
@@ -363,23 +363,22 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
             f"{CONVEXITY_ENUMERATION_CEILING} vertices (got {n})"
         )
     if not check_convexity_axioms(d):
-        return _verdict(mode, [], False, 0, t0)
+        return _verdict(mode, limit, cap, [], 0, t0, d, "convexity")
 
-    u = complement_family(d)
-    sig = incidence_signatures(u)
+    # U's signatures are d's complemented within len(d) bits, which keeps
+    # every subset relation: all that the base vertices and can() read
+    sig = {v: ((1 << len(d)) - 1) ^ s for v, s in incidence_signatures(d).items()}
     base = _base_vertices_from_signatures(sig)  # nonempty: V is in U
-    compacted = []
-    for m in irreducible_members(u.masks, n):
-        cm = 0
-        for i, b in enumerate(base):
-            cm |= ((m >> b) & 1) << i
-        compacted.append(cm)
-    sub = from_multiset(NeighborhoodMultiset(len(base), compacted), mode, limit)
+    u = [((1 << n) - 1) ^ a for a in d.masks]
+    # distinct, since no two members of U agree on S; sorted canonically
+    compacted = sorted((mask_of(i for i, b in enumerate(base) if (m >> b) & 1)
+                        for m in irreducible_members(u, n)),
+                       key=lambda cm: (cm.bit_count(), mask_members(cm)))
+    found, nodes = _realize(len(base), [(cm, 1) for cm in compacted], cap)
     canon = [mask_of(i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
              for v in range(n)]
-    graphs = [h for h in (_expand(q, canon) for q in sub.graphs)
-              if realizes(h, d, "convexity")]
-    return _verdict(mode, graphs, sub.truncated, sub.nodes_explored, t0)
+    candidates = [_expand(q, canon) for q in found]
+    return _verdict(mode, limit, cap, candidates, nodes, t0, d, "convexity")
 
 
 # ---------------------------------------------------------------------------

@@ -318,17 +318,25 @@ class TestErrors:
         monkeypatch.undo()
         assert (code, capsys.readouterr().err) == (1, "")
 
-    @pytest.mark.parametrize("n", ["4", "6"])
-    def test_closed_pipe_in_a_process_exits_one_quietly(self, n):
-        # The reader is gone before the first write.  At n = 4 the one line
-        # fits stdout's buffer, so the pipe fails at mine's flush and the
-        # line stays buffered: the interpreter's last flush must not report
-        # it.  At n = 6 the first write fails.
+    @pytest.mark.parametrize("args", [
+        pytest.param(["mine", "--n", "4"], id="4"),
+        pytest.param(["mine", "--n", "6"], id="6"),
+        pytest.param(["convert", "--to", "json", "GRAPH"], id="convert-json"),
+        pytest.param(["nbhd", "GRAPH"], id="nbhd"),
+    ])
+    def test_closed_pipe_in_a_process_exits_one_quietly(self, args, tmp_path):
+        # The reader is gone before the first write.  Small outputs fit
+        # stdout's buffer, so the pipe fails at main's flush and the output
+        # stays buffered: the interpreter's last flush must not report it.
+        # At n = 6 mine's first write fails.
+        graph = tmp_path / "c4.g6"
+        graph.write_text(to_graph6(C4_LABELINGS[0]) + "\n")
+        args = [str(graph) if a == "GRAPH" else a for a in args]
         env = dict(os.environ)
         env.pop("PYTHONUNBUFFERED", None)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [
             str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.Popen([sys.executable, "-m", "nbhdrecon.cli", "mine", "--n", n],
+        proc = subprocess.Popen([sys.executable, "-m", "nbhdrecon.cli", *args],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         proc.stdout.close()
         err = proc.stderr.read()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from collections import Counter, defaultdict
@@ -20,11 +21,13 @@ from nbhdrecon import (
     neighborhood_multiset,
     realizes,
 )
+from nbhdrecon import reconstruct as reconstruct_module
 from nbhdrecon.graphs import mask_members, mask_of
 from nbhdrecon.miner import enumerate_labeled_graphs
-from nbhdrecon.reconstruct import equivalence_classes, quotient_family
+from nbhdrecon.reconstruct import EquivalenceClasses, equivalence_classes, quotient_family
 
 from helpers import (
+    C4_LABELINGS,
     P3,
     WORKED_EXAMPLE,
     WORKED_EXAMPLE_EDGES,
@@ -140,6 +143,13 @@ class TestQuotientFamily:
         classes_joint = equivalence_classes(SetFamily(2, [0b11]))
         with pytest.raises(UnrealizableFamilyError):
             quotient_family(f_bad, classes_joint)
+
+    def test_member_not_a_union_of_classes_rejected(self):
+        # a hand-built partition whose one block {0} leaves vertex 1 out:
+        # {0,1} splits no block, yet no union of blocks gives it
+        classes = EquivalenceClasses(2, (VertexSet(1, 2),), (0,))
+        with pytest.raises(UnrealizableFamilyError, match="not a union of classes"):
+            quotient_family(SetFamily(2, [0b11]), classes)
 
     def test_quotient_soundness_exhaustive(self):
         # the quotient family equals the closed multiset of the graph induced
@@ -575,3 +585,58 @@ class TestResultContract:
         # no graph has zero vertices, so every entry point refuses alike
         with pytest.raises(InputError, match="nonempty universe"):
             reconstruct(empty, mode)
+
+    # sha256 of (verdict, adjacency tuples in order, truncated, nodes_explored)
+    # on every labeled graph with n <= 4, through all three paths, in the
+    # modes below.  It pins which graph ``first`` picks, what a truncated
+    # ``all`` keeps and how many nodes each search takes.
+    ANSWERS_SHA256 = "895b69b9adba7ea483991cd305f1685adf319a83eeacf6653c03f5c66b79e30f"
+
+    def test_answers_pinned_on_every_small_graph(self):
+        digest = hashlib.sha256()
+        for n in range(1, 5):
+            for g in enumerate_labeled_graphs(n):
+                for reconstruct, inv in ((from_multiset, neighborhood_multiset(g)),
+                                         (from_support, closed_support(g)),
+                                         (from_digital_convexity, digital_convexity(g))):
+                    for mode, limit in (("first", 1), ("all", 1), ("all", 2),
+                                        ("all", 4), ("count", 64)):
+                        r = reconstruct(inv, mode, limit)
+                        adj = [tuple(h.adjacency_mask(v) for v in range(h.n))
+                               for h in r.graphs]
+                        digest.update(repr((r.verdict, adj, r.truncated,
+                                            r.nodes_explored)).encode())
+        assert digest.hexdigest() == self.ANSWERS_SHA256
+
+
+PATHS = pytest.mark.parametrize("reconstruct,invariant", [
+    (from_multiset, neighborhood_multiset),
+    (from_support, closed_support),
+    (from_digital_convexity, digital_convexity),
+], ids=["multiset", "support", "convexity"])
+
+
+class TestReverification:
+    @PATHS
+    def test_each_returned_graph_verified_once(self, monkeypatch, reconstruct, invariant):
+        calls = []
+
+        def spy(g, reference, kind):
+            calls.append(g)
+            return realizes(g, reference, kind)
+
+        monkeypatch.setattr(reconstruct_module, "realizes", spy)
+        for g in (*C4_LABELINGS, WORKED_EXAMPLE):
+            calls.clear()
+            result = reconstruct(invariant(g), "all")
+            assert Graph(g.n, g.edges()) in result.graphs
+            assert Counter(calls) == Counter(result.graphs)
+
+    @PATHS
+    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    def test_rejected_candidates_are_never_returned(self, monkeypatch, reconstruct,
+                                                    invariant, mode):
+        monkeypatch.setattr(reconstruct_module, "realizes", lambda g, reference, kind: False)
+        for g in (*C4_LABELINGS, WORKED_EXAMPLE):
+            result = reconstruct(invariant(g), mode)
+            assert (result.verdict, result.graphs) == ("infeasible", ())
