@@ -13,12 +13,13 @@ stop at n = 8, so an edge mask fits a uint32 and a neighborhood one byte.
 
 * ``_neighborhood_rows`` turns edge masks into an (n, N) uint8 array whose
   row v holds every graph's closed or open neighborhood of v.
-* ``_fingerprint_keys_chunk`` sorts those rows with a compare-exchange
-  network and packs them into one uint64 key per graph, the smallest mask
-  most significant, so key order is fingerprint order; chunks of the
-  edge-mask range can run in worker processes.
-* ``collision_arrays`` argsorts the keys once and keeps each run of two or
-  more equal keys: the members' edge masks in group order, plus offsets.
+* ``_keys_from_rows`` sorts those rows with a compare-exchange network and
+  packs them into one uint64 key per graph, the smallest mask most
+  significant, so key order is fingerprint order; ``_chunk_keys`` ORs one
+  table of rows per sweep with each chunk's high bits.
+* ``collision_arrays`` argsorts only the keys whose hash matches a repeated
+  key's and keeps each run of two or more equal keys: the members' edge
+  masks in group order, plus offsets.
 * ``graph6_strings`` writes graph6 straight from edge masks.
 * ``pair_checks`` makes every structural check on many closed-multiset
   pairs at once; ``_induced_c4`` is its induced-C4 flag.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -56,7 +57,7 @@ MAX_ENUMERATION_SIZE = 8
 
 KINDS = ("closed-multiset", "closed-support", "open-multiset")
 
-_CHUNK = 1 << 20
+_CHUNK_BITS = 16  # 2^16 edge masks a chunk: its rows and keys stay in cache
 
 
 def _check_size(n: int, allow_large: bool) -> int:
@@ -136,8 +137,9 @@ def _sort_rows(rows: np.ndarray) -> None:
             rows[j - 1] = low
 
 
-def _fingerprint_keys_chunk(n: int, kind: str, lo: int, hi: int) -> np.ndarray:
-    """Packed invariant keys for edge masks in [lo, hi); one uint64 per graph.
+def _keys_from_rows(n: int, kind: str, rows: np.ndarray) -> np.ndarray:
+    """One packed uint64 invariant key per column of ``rows``, a graph's closed
+    (or, for ``open-multiset``, open) neighborhoods; sorts ``rows`` in place.
 
     Each graph's neighborhood masks are sorted and mask i goes to bits
     n*(n-1-i) and up, the smallest mask most significant, so n masks of n
@@ -146,8 +148,6 @@ def _fingerprint_keys_chunk(n: int, kind: str, lo: int, hi: int) -> np.ndarray:
     is a proper prefix of another sorts first.  Key order is therefore the
     tuple order of :func:`invariant_fingerprint`.
     """
-    edge_masks = np.arange(lo, hi, dtype=np.uint32)
-    rows = _neighborhood_rows(n, edge_masks, closed=kind != "open-multiset")
     _sort_rows(rows)
     if kind == "closed-support":
         for i in range(n - 1, 0, -1):
@@ -155,14 +155,28 @@ def _fingerprint_keys_chunk(n: int, kind: str, lo: int, hi: int) -> np.ndarray:
         rows -= 1  # a zeroed repeat wraps to 255 and sorts last
         _sort_rows(rows)
         rows += 1
-    keys = np.zeros(hi - lo, dtype=np.uint64)
+    keys = np.zeros(rows.shape[1], dtype=np.uint64)
     for i in range(n):
         keys |= rows[i].astype(np.uint64) << (n * (n - 1 - i))
     return keys
 
 
-def _find_collisions_worker(args: tuple) -> np.ndarray:
-    return _fingerprint_keys_chunk(*args)
+def _chunk_keys(n: int, kind: str, table: np.ndarray, chunk: int) -> np.ndarray:
+    """Keys of the edge masks chunk*W .. chunk*W + W-1, ``table`` being the
+    (n, W) rows of 0 .. W-1: W is a power of two, so the chunk's masks share
+    their high bits, which add the same neighbors to every column."""
+    high = _neighborhood_rows(n, np.array([chunk * table.shape[1]], dtype=np.uint32), False)
+    return _keys_from_rows(n, kind, table | high)
+
+
+def _collision_candidates(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Ascending indices of the repeated keys and of the few others whose
+    multiply-shift hash to ``bits`` bits equals a repeated key's."""
+    mix, shift = np.uint64(0x9E3779B97F4A7C15), np.uint64(64 - bits)
+    ordered = np.sort(keys)
+    marked = np.zeros(1 << bits, dtype=bool)
+    marked[ordered[1:][ordered[1:] == ordered[:-1]] * mix >> shift] = True
+    return np.flatnonzero(marked[keys * mix >> shift])
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -205,48 +219,54 @@ def collision_arrays(n: int, kind: str = "closed-multiset",
                      allow_large: bool = False, jobs: int = 1) -> CollisionArrays:
     """All collision groups of the chosen invariant at size ``n``, as arrays.
 
-    ``jobs`` partitions the key computation across worker processes, never
-    more than there are chunks or CPUs.
+    ``jobs`` spreads the key pass, in chunks of 2^16 edge masks, over worker
+    threads, never more than there are chunks or CPUs.
     """
     total = _check_size(n, allow_large)
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
     if jobs < 1:
         raise InputError(f"jobs must be positive, got {jobs}")
-    chunks = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+    bits = min(_CHUNK_BITS, n * (n - 1) // 2)
+    table = _neighborhood_rows(n, np.arange(1 << bits, dtype=np.uint32),
+                               closed=kind != "open-multiset")
+    keys = np.empty(total, dtype=np.uint64)
+
+    def fill(chunk: int) -> None:
+        keys[chunk << bits:(chunk + 1) << bits] = _chunk_keys(n, kind, table, chunk)
+
+    chunks = range(total >> bits)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_find_collisions_worker,
-                                  [(n, kind, lo, hi) for lo, hi in chunks]))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, chunks))
     else:
-        parts = [_fingerprint_keys_chunk(n, kind, lo, hi) for lo, hi in chunks]
-    keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    del parts  # here and below: at n = 8 each of these arrays is 1-2 GB
+        list(map(fill, chunks))
 
-    # The stable argsort keeps equal keys in edge-mask order and puts the
-    # groups in fingerprint order; a graph is in a group exactly when its key
-    # equals a neighbour's.
-    order = np.argsort(keys, kind="stable")
+    # The candidates hold every repeated key and ascend by edge mask, so the
+    # stable argsort keeps members in edge-mask order and groups in fingerprint
+    # order; a graph is in a group exactly when its key equals a neighbour's.
+    order = _collision_candidates(keys, n * (n - 1) // 2)
+    order = order[np.argsort(keys[order], kind="stable")]
     keys = keys[order]
     same = keys[1:] == keys[:-1]
-    grouped = np.zeros(total, dtype=bool)
+    grouped = np.zeros(len(keys), dtype=bool)
     grouped[1:] = same
     grouped[:-1] |= same
     edge_masks = order[grouped].astype(np.uint32)
     keys = keys[grouped]
-    del order, same, grouped
+    del order, same, grouped  # at n = 8 each holds millions of entries
     opens = np.ones(len(keys), dtype=bool)
     opens[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(opens)
 
-    # A closed mask is never zero, so a zero field of a closed kind is padding.
+    # A closed mask is never zero, so a zero field of the support is padding.
     shifts = n * np.arange(n - 1, -1, -1, dtype=np.uint64)
     fields = ((keys[starts, None] >> shifts) & np.uint64((1 << n) - 1)).tolist()
-    if kind == "open-multiset":
-        fingerprints = tuple(map(tuple, fields))
-    else:
+    if kind == "closed-support":
         fingerprints = tuple(tuple(f for f in fp if f) for fp in fields)
+    else:
+        fingerprints = tuple(map(tuple, fields))
     return CollisionArrays(kind, n, fingerprints, edge_masks,
                            np.append(starts, len(keys)))
 
@@ -257,8 +277,8 @@ def find_collisions(n: int, kind: str = "closed-multiset",
 
     Groups are confirmed by exact fingerprint equality and returned in
     ascending fingerprint order; members are in edge-mask order.  ``jobs``
-    partitions the edge-mask range across worker processes, never more than
-    there are chunks or CPUs.
+    spreads the key computation over worker threads, as in
+    :func:`collision_arrays`.
     """
     arrays = collision_arrays(n, kind, allow_large, jobs)
     adjacency = _neighborhood_rows(n, arrays.edge_masks, closed=False).T.tolist()

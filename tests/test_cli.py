@@ -231,11 +231,36 @@ class TestMineAndVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("kind", ["closed-multiset", "closed-support", "open-multiset"])
+    def test_mine_n7_jobs_output_pinned(self, capsys, kind):
+        digest, lines = MINE_N7_OUTPUT[kind]
+        code, out, err = run(capsys, "mine", "--n", "7", "--deep", "--kind", kind,
+                             "--jobs", "2")
+        assert (code, err) == (0, "")
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", ["closed-multiset", "closed-support", "open-multiset"])
     def test_mine_jobs_output_matches_per_graph_reference(self, capsys, monkeypatch, kind):
-        monkeypatch.setattr(miner, "_CHUNK", 1 << 13)  # four chunks, two workers
+        monkeypatch.setattr(miner, "_CHUNK_BITS", 13)  # four chunks, two workers
         code, out, _ = run(capsys, "mine", "--n", "6", "--kind", kind, "--jobs", "2")
         assert code == 0
         assert out == "".join(line + "\n" for line in oracle_mine_lines(6, kind))
+
+    def test_mine_jobs_forks_no_process(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("mine --jobs forked a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(miner, "_CHUNK_BITS", 13)  # four chunks, two workers
+        code, out, err = run(capsys, "mine", "--n", "6", "--jobs", "2")
+        assert (code, err) == (0, "")
+        assert out == "".join(line + "\n" for line in oracle_mine_lines(6, "closed-multiset"))
+
+    def test_verify_n7_report_pinned(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "7", "--deep")
+        assert (code, err) == (0, "")
+        assert out == ('{"collision_groups":54544,"graphs_swept":2097152,"n":7,'
+                       '"orbits_checked":327600,"pairs_checked":69300,"violations":[]}\n')
 
     def test_verify_output_matches_per_graph_reference(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "6")

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -103,7 +104,8 @@ class TestFindCollisions:
             assert fps == {grp.fingerprint}
             assert len(set(grp.graphs)) == len(grp.graphs) >= 2
 
-    def test_jobs_partitioning_agrees(self):
+    def test_jobs_partitioning_agrees(self, monkeypatch):
+        monkeypatch.setattr(miner, "_CHUNK_BITS", 6)  # sixteen chunks
         serial = find_collisions(5, "closed-support")
         parallel = find_collisions(5, "closed-support", jobs=2)
         assert [(g.fingerprint, g.graphs) for g in serial] == \
@@ -141,12 +143,49 @@ class TestFindCollisions:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(miner, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(miner, "_CHUNK", chunk)
+        monkeypatch.setattr(miner, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(miner, "_CHUNK_BITS", chunk.bit_length() - 1)
         monkeypatch.setattr(miner.os, "cpu_count", lambda: cpus)
         groups = find_collisions(5, "closed-multiset", jobs=jobs)
         assert started == ([] if workers is None else [workers])
         assert len(groups) == 40
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    def test_threads_under_fast_switching(self, monkeypatch, kind):
+        # more workers than cores, each switch a chance to lose a chunk's keys
+        monkeypatch.setattr(miner, "_CHUNK_BITS", 7)  # 256 chunks at n = 6
+        monkeypatch.setattr(miner.os, "cpu_count", lambda: 8)
+        serial = miner.collision_arrays(6, kind)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = miner.collision_arrays(6, kind, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_arrays(threaded, serial)
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    def test_one_slot_hash_table_changes_nothing(self, monkeypatch, kind):
+        # with one slot every graph is a candidate, as in a sort of all keys
+        real = miner._collision_candidates
+        default = [miner.collision_arrays(n, kind) for n in range(1, 7)]
+        monkeypatch.setattr(miner, "_collision_candidates",
+                            lambda keys, bits: real(keys, 0))
+        for n, want in enumerate(default, 1):
+            got = miner.collision_arrays(n, kind)
+            assert_same_arrays(got, want)
+            assert (len(got.fingerprints) > 0) == (n >= 4)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_candidates_hold_every_repeated_key(self, n):
+        keys = miner._keys_from_rows(n, "closed-multiset", miner._neighborhood_rows(
+            n, all_edge_masks(n), closed=True))
+        candidates = miner._collision_candidates(keys, n * (n - 1) // 2)
+        counts = Counter(keys.tolist())
+        repeated = [i for i, key in enumerate(keys.tolist()) if counts[key] > 1]
+        assert set(repeated) <= set(candidates.tolist())
+        assert candidates.tolist() == sorted(set(candidates.tolist()))
+        assert len(candidates) < len(keys)
 
 
 class TestWitnessPermutation:
@@ -255,6 +294,19 @@ class TestVerify:
                 assert len(c4_free) == 0
 
 
+def assert_same_arrays(got, want):
+    assert got.fingerprints == want.fingerprints
+    assert got.edge_masks.dtype == want.edge_masks.dtype
+    assert got.edge_masks.tolist() == want.edge_masks.tolist()
+    assert got.offsets.tolist() == want.offsets.tolist()
+
+
+def row_keys_input(n, kind, lo, hi):
+    """The rows the key kernel reads for the edge masks lo .. hi-1."""
+    return miner._neighborhood_rows(n, np.arange(lo, hi, dtype=np.uint32),
+                                    closed=kind != "open-multiset")
+
+
 def all_edge_masks(n):
     return np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
 
@@ -282,7 +334,7 @@ class TestArrayKernels:
     def check_keys(n, kind, lo, hi):
         # mask i of the sorted invariant sits at bits n*(n-1-i); a support is
         # zero-padded at the back; sorting the keys sorts the fingerprints
-        keys = miner._fingerprint_keys_chunk(n, kind, lo, hi)
+        keys = miner._keys_from_rows(n, kind, row_keys_input(n, kind, lo, hi))
         fps = [invariant_fingerprint(Graph.from_edge_mask(n, em), kind)
                for em in range(lo, hi)]
         for key, fp in zip(keys.tolist(), fps):
@@ -303,6 +355,29 @@ class TestArrayKernels:
         keys = self.check_keys(8, kind, lo, lo + 2000)
         if kind == "closed-multiset" and lo:
             assert keys[-1] == np.uint64((1 << 64) - 1)
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_table_keys_equal_row_keys(self, n, kind):
+        # one chunk, then chunks of half the edge bits: the high bits vary
+        edge_bits = n * (n - 1) // 2
+        want = miner._keys_from_rows(n, kind, row_keys_input(n, kind, 0, 1 << edge_bits))
+        for bits in sorted({edge_bits, edge_bits // 2}):
+            table = row_keys_input(n, kind, 0, 1 << bits)
+            got = np.concatenate([miner._chunk_keys(n, kind, table, c)
+                                  for c in range(1 << (edge_bits - bits))])
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_table_keys_first_middle_last_chunk(self, n, kind):
+        width = 1 << miner._CHUNK_BITS
+        chunks = (1 << (n * (n - 1) // 2)) // width
+        table = row_keys_input(n, kind, 0, width)
+        for c in (0, chunks // 2 + 1, chunks - 1):
+            want = miner._keys_from_rows(n, kind, row_keys_input(
+                n, kind, c * width, (c + 1) * width))
+            assert miner._chunk_keys(n, kind, table, c).tolist() == want.tolist()
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_graph6_every_graph(self, n):
