@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .families import LATTICE_CEILING, SetFamily, lattice_pays, member_lattice
+from .families import LATTICE_CEILING, SetFamily, _fixed_points, lattice_pays, member_lattice
 from .graphs import Graph, VertexSet, mask_members
 
 #: The enumeration builds a 2^n lattice table of uint32 masks, so it shares
@@ -65,9 +65,13 @@ def digital_convexity(g: Graph) -> SetFamily:
     """All digitally convex sets of ``g``; always contains the empty set and V.
 
     By the complement bridge the convex sets are exactly the complements of
-    the sets N[A], A <= V.  The table of all N[A] is built by doubling, one
-    vertex at a time, and the distinct values are complemented.
+    the sets N[A], A <= V, which :func:`_neighborhood_unions` marks.
     """
+    return SetFamily(g.n, ((1 << g.n) - 1) ^ np.flatnonzero(_neighborhood_unions(g)))
+
+
+def _neighborhood_unions(g: Graph) -> np.ndarray:
+    """2^n bools, True exactly at the sets N[A], A <= V, built by doubling."""
     n = g.n
     if n > CONVEXITY_ENUMERATION_CEILING:
         raise ResourceLimitError(
@@ -79,8 +83,7 @@ def digital_convexity(g: Graph) -> SetFamily:
         reach[1 << v:2 << v] = reach[:1 << v] | g.closed_mask(v)
     seen = np.zeros(1 << n, dtype=bool)
     seen[reach] = True
-    full = (1 << n) - 1
-    return SetFamily(n, full ^ np.flatnonzero(seen))
+    return seen
 
 
 def complement_family(f: SetFamily) -> SetFamily:
@@ -132,9 +135,8 @@ def check_convexity_axioms(f: SetFamily) -> AxiomReport:
         return AxiomReport(True)
     n = f.universe
     if lattice_pays(k, n):
-        comp = np.uint32(full) ^ np.array(f.masks, dtype=np.uint32)
-        table = member_lattice(comp, n)
-        if np.count_nonzero(table == np.arange(1 << n, dtype=np.uint32)) == k:
+        comp = np.uint32(full) ^ f.mask_array.astype(np.uint32)
+        if _fixed_points(member_lattice(comp, n)) == k:
             return AxiomReport(True)
     return _pairwise_axiom_check(f)
 

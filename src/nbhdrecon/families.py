@@ -279,11 +279,18 @@ def or_zeta(table: np.ndarray, n: int) -> None:
 
     Afterwards ``table[X]`` is the OR of the old ``table[Y]`` over all
     ``Y <= X``.  One pass per bit: every index with the bit set absorbs the
-    index without it.
+    index without it.  The passes commute, and the lowest ``min(5, n // 2)``
+    bits, whose strides are short, run on a transposed copy where they are highest.
     """
-    for i in range(n):
+    low = min(5, n // 2)
+    for i in range(low, n):
         v = table.reshape(-1, 2, 1 << i)
         v[:, 1, :] |= v[:, 0, :]
+    flipped = table.reshape(-1, 1 << low).T.copy()  # low bits now on top
+    for i in range(n - low, n):
+        v = flipped.reshape(-1, 2, 1 << i)
+        v[:, 1, :] |= v[:, 0, :]
+    table.reshape(-1, 1 << low)[:] = flipped.T
 
 
 def member_lattice(masks: np.ndarray, n: int) -> np.ndarray:
@@ -297,16 +304,16 @@ def member_lattice(masks: np.ndarray, n: int) -> np.ndarray:
 def lattice_pays(k: int, n: int) -> bool:
     """True when the 2^n lattice beats a sweep over the k^2 member pairs.
 
-    Measured on a 2-core Xeon at 2.0 GHz (Python 3.11, numpy 2.4): both pair
-    sweeps cost about 85 ns a pair (the Python one in
-    :func:`irreducible_members`, the searchsorted one in the axiom check),
-    and a lattice pass about 1.3 ns per n * 2^n cell plus ~170 us of fixed
-    numpy set-up.  Hence pairs win while k^2 < n * 2^n / 64 + 2048.  The
-    measured crossovers: k ~ 45 at n = 8 and 10, ~ 55 at n = 12, ~ 72 at
-    n = 14, ~ 128 at n = 16 (irreducibles: 1.56 ms pairs vs 1.48 ms lattice
-    at k = 128); the formula gives 45, 47, 53, 78 and 135.
+    Measured on a 2-core Xeon at 2.0 GHz (Python 3.11, numpy 2.4): the
+    Python pair sweep in :func:`irreducible_members` costs 75-95 ns a pair
+    and the searchsorted one in the axiom check 20-30 ns, and a lattice
+    about 0.6 ns per n * 2^n cell at n = 14 to 18 plus ~170 us of fixed
+    numpy set-up.  Hence pairs win while k^2 < n * 2^n / 128 + 2048.  The
+    measured crossovers at n = 8, 10, 12, 14 and 16: k ~ 39, 43, 48, 58 and
+    89 for the irreducibles, ~ 40, 46, 56, 81 and 160 for the axiom check;
+    the formula gives 45, 46, 49, 62 and 101.
     """
-    return n <= LATTICE_CEILING and k * k > ((n << n) >> 6) + 2048
+    return n <= LATTICE_CEILING and k * k > ((n << n) >> 7) + 2048
 
 
 def irreducible_members(masks: Iterable[int], universe: int) -> list[int]:
@@ -328,12 +335,22 @@ def irreducible_members(masks: Iterable[int], universe: int) -> list[int]:
                 out.append(m)
         return out
     arr = np.fromiter(distinct, dtype=np.uint32, count=len(distinct))
-    table = member_lattice(arr, universe)
+    return _lattice_irreducible(member_lattice(arr, universe), arr, universe).tolist()
+
+
+def _lattice_irreducible(table: np.ndarray, arr: np.ndarray, n: int) -> np.ndarray:
+    """The members in ``arr`` (distinct uint32 masks, ``table`` their member
+    lattice) that differ from the union of the members strictly below them."""
     below = np.zeros_like(arr)
-    for b in range(universe):
+    for b in range(n):
         bit = np.uint32(1 << b)
         below |= np.where(arr & bit, table[arr ^ bit], 0)
-    return arr[below != arr].tolist()
+    return arr[below != arr]
+
+
+def _fixed_points(table: np.ndarray) -> int:
+    """How many X have ``table[X] == X``: in a member lattice, the unions."""
+    return np.count_nonzero(table == np.arange(table.size, dtype=np.uint32))
 
 
 # ---------------------------------------------------------------------------

@@ -30,20 +30,28 @@ yield the infeasible verdict rather than an exception.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .convexity import (
     CONVEXITY_ENUMERATION_CEILING,
+    _neighborhood_unions,
     check_convexity_axioms,
-    digital_convexity,
 )
 from .errors import InputError, ResourceLimitError, UnrealizableFamilyError
 from .families import (
     NeighborhoodMultiset,
     SetFamily,
+    _base_vertices_from_signatures,
+    _canonical_order,
+    _fixed_points,
+    _lattice_irreducible,
     incidence_signatures,
     irreducible_members,
-    _base_vertices_from_signatures,
+    lattice_pays,
+    member_lattice,
 )
 from .graphs import Graph, VertexSet, as_int, mask_members, mask_of
 
@@ -142,17 +150,10 @@ def equivalence_classes(gen: SetFamily) -> EquivalenceClasses:
     generating family.  The representative of each block is its minimum id.
     """
     n = gen.universe
-    sig = incidence_signatures(gen)
-    by_sig: dict[int, int] = {}
-    blocks: list[int] = []
-    for v in range(n):
-        s = sig[v]
-        if s in by_sig:
-            blocks[by_sig[s]] |= 1 << v
-        else:
-            by_sig[s] = len(blocks)
-            blocks.append(1 << v)
-    blocks.sort(key=lambda b: (b & -b))
+    by_sig: dict[int, int] = {}  # signature -> block, first seen at its lowest id
+    for v, s in incidence_signatures(gen).items():
+        by_sig[s] = by_sig.get(s, 0) | 1 << v
+    blocks = by_sig.values()
     return EquivalenceClasses(
         n,
         tuple(VertexSet(b, n) for b in blocks),
@@ -281,8 +282,9 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
 # ---------------------------------------------------------------------------
 
 
-def _expand(q: tuple[int, ...], canon: list[int]) -> Graph:
-    """Blow the graph on representatives with adjacency tuple ``q`` up to V.
+def _expand(found: list[tuple[int, ...]], canon: list[int], m: int) -> Iterator[Graph]:
+    """Blow each graph in ``found``, an adjacency tuple q on the m
+    representatives, up to V.
 
     ``canon[v]`` is the mask of the representatives whose closed
     neighborhoods make up N[v].  w is adjacent to v exactly when a
@@ -290,23 +292,24 @@ def _expand(q: tuple[int, ...], canon: list[int]) -> Graph:
     representative of v, which is symmetric because q is.
     """
     n = len(canon)
-    owners = [0] * len(q)  # owners[r]: the vertices with r among their representatives
+    owners = [0] * m  # owners[r]: the vertices with r among their representatives
     for v, c in enumerate(canon):
         for r in mask_members(c):
             owners[r] |= 1 << v
-    reach = []  # reach[r]: the vertices owning a representative in N_q[r]
-    for r, row_q in enumerate(q):
-        row = 0
-        for s in mask_members(row_q | (1 << r)):
-            row |= owners[s]
-        reach.append(row)
-    adj = []
-    for v, c in enumerate(canon):
-        row = 0
-        for r in mask_members(c):
-            row |= reach[r]
-        adj.append(row & ~(1 << v))
-    return Graph._from_adj_unchecked(n, tuple(adj))
+    for q in found:
+        reach = []  # reach[r]: the vertices owning a representative in N_q[r]
+        for r, row_q in enumerate(q):
+            row = 0
+            for s in mask_members(row_q | (1 << r)):
+                row |= owners[s]
+            reach.append(row)
+        adj = []
+        for v, c in enumerate(canon):
+            row = 0
+            for r in mask_members(c):
+                row |= reach[r]
+            adj.append(row & ~(1 << v))
+        yield Graph._from_adj_unchecked(n, tuple(adj))
 
 
 def from_support(f: SetFamily, mode: str = "all",
@@ -329,7 +332,7 @@ def from_support(f: SetFamily, mode: str = "all",
     for i, block in enumerate(classes.blocks):
         for v in block:
             canon[v] = 1 << i
-    candidates = [_expand(q, canon) for q in found]
+    candidates = list(_expand(found, canon, len(classes.blocks)))
     return _verdict(mode, limit, cap, candidates, nodes, t0, f, "support")
 
 
@@ -357,27 +360,33 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     cap = _check_mode(mode, limit, d.universe)
     n = d.universe
     if n > CONVEXITY_ENUMERATION_CEILING:
-        # every candidate is re-verified by enumerating its convexity
+        # every candidate is re-verified through its 2^n table of sets N[A]
         raise ResourceLimitError(
             f"convexity reconstruction is capped at "
             f"{CONVEXITY_ENUMERATION_CEILING} vertices (got {n})"
         )
-    if not check_convexity_axioms(d):
+    u = np.uint32((1 << n) - 1) ^ d.mask_array.astype(np.uint32)
+    # When it pays, one member lattice of U answers both: d passes the axioms
+    # iff U holds V and is union-closed, and the table gives U's irreducibles.
+    table = member_lattice(u, n) if lattice_pays(len(d), n) else None
+    if not (check_convexity_axioms(d) if table is None
+            else d.contains_mask(0) and _fixed_points(table) == len(d)):
         return _verdict(mode, limit, cap, [], 0, t0, d, "convexity")
+    irreducible = (np.array(irreducible_members(u.tolist(), n), dtype=np.uint32)
+                   if table is None else _lattice_irreducible(table, u, n))
 
     # U's signatures are d's complemented within len(d) bits, which keeps
     # every subset relation: all that the base vertices and can() read
     sig = {v: ((1 << len(d)) - 1) ^ s for v, s in incidence_signatures(d).items()}
     base = _base_vertices_from_signatures(sig)  # nonempty: V is in U
-    u = [((1 << n) - 1) ^ a for a in d.masks]
-    # distinct, since no two members of U agree on S; sorted canonically
-    compacted = sorted((mask_of(i for i, b in enumerate(base) if (m >> b) & 1)
-                        for m in irreducible_members(u, n)),
-                       key=lambda cm: (cm.bit_count(), mask_members(cm)))
-    found, nodes = _realize(len(base), [(cm, 1) for cm in compacted], cap)
+    # bit i stands for base[i]; distinct, since no two members of U agree on S
+    compacted = (((irreducible[:, None] >> np.array(base, dtype=np.uint32)) & 1)
+                 << np.arange(len(base), dtype=np.uint32)).sum(axis=1, dtype=np.uint64)
+    entries = [(cm, 1) for cm in compacted[_canonical_order(compacted)].tolist()]
+    found, nodes = _realize(len(base), entries, cap)
     canon = [mask_of(i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
              for v in range(n)]
-    candidates = [_expand(q, canon) for q in found]
+    candidates = list(_expand(found, canon, len(base)))
     return _verdict(mode, limit, cap, candidates, nodes, t0, d, "convexity")
 
 
@@ -411,5 +420,7 @@ def realizes(g: Graph, reference, kind: str) -> bool:
         closed = {row | (1 << v) for v, row in enumerate(g._adj)}
         return len(closed) == len(reference) and all(map(reference.contains_mask, closed))
     if kind == "convexity":
-        return digital_convexity(g) == reference
+        seen = _neighborhood_unions(g)  # g's sets N[A], the complements of its convex sets
+        return (np.count_nonzero(seen) == len(reference)
+                and bool(seen[((1 << g.n) - 1) ^ reference.mask_array].all()))
     raise InputError(f"unknown invariant kind {kind!r}")

@@ -64,7 +64,7 @@ def lattice_side(request, monkeypatch):
     """Force one side of the pair-sweep / subset-lattice cut-over, so small
     families can be checked against exponential oracles on both paths.
     Universes above the lattice ceiling take the pair sweeps either way."""
-    from nbhdrecon import convexity, families
+    from nbhdrecon import convexity, families, reconstruct
 
     if request.param == "pairs":
         def pays(k, n):
@@ -74,4 +74,5 @@ def lattice_side(request, monkeypatch):
             return n <= families.LATTICE_CEILING
     monkeypatch.setattr(families, "lattice_pays", pays)
     monkeypatch.setattr(convexity, "lattice_pays", pays)
+    monkeypatch.setattr(reconstruct, "lattice_pays", pays)
     return request.param

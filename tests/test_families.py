@@ -20,7 +20,7 @@ from nbhdrecon import (
     union_basis,
     union_closure,
 )
-from nbhdrecon.families import incidence_signatures, lattice_pays
+from nbhdrecon.families import incidence_signatures, lattice_pays, or_zeta
 
 from helpers import (
     P3,
@@ -338,6 +338,33 @@ class TestIncidenceSignatures:
         sig = incidence_signatures(f)
         assert sig == oracle_incidence_signatures(f.masks, range(12))
         assert sig[11].bit_length() > 64
+
+
+class TestOrZeta:
+    """The transposed kernel against the plain transform and the definition."""
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_matches_per_bit_reference(self, n):
+        table = np.random.default_rng(n).integers(0, 1 << 32, 1 << n, dtype=np.uint32)
+        want = table.copy()
+        for i in range(n):  # one pass per bit, lowest first
+            v = want.reshape(-1, 2, 1 << i)
+            v[:, 1, :] |= v[:, 0, :]
+        or_zeta(table, n)
+        assert np.array_equal(table, want)
+
+    def test_matches_subset_definition(self):
+        rng = random.Random(31)
+        for n in range(7):
+            old = [rng.getrandbits(32) for _ in range(1 << n)]
+            table = np.array(old, dtype=np.uint32)
+            or_zeta(table, n)
+            for x in range(1 << n):
+                want = 0
+                for y in range(1 << n):
+                    if y & ~x == 0:
+                        want |= old[y]
+                assert int(table[x]) == want
 
 
 class TestMemberArrays:

@@ -22,6 +22,7 @@ from nbhdrecon import (
     realizes,
 )
 from nbhdrecon import reconstruct as reconstruct_module
+from nbhdrecon.families import lattice_pays
 from nbhdrecon.graphs import mask_members, mask_of
 from nbhdrecon.miner import enumerate_labeled_graphs
 from nbhdrecon.reconstruct import EquivalenceClasses, equivalence_classes, quotient_family
@@ -495,6 +496,41 @@ class TestRealizes:
         with pytest.raises(InputError):
             realizes(P3, closed_support(Graph(4)), "support")
 
+    def test_convexity_errors(self):
+        with pytest.raises(InputError, match="universes differ"):
+            realizes(P3, digital_convexity(Graph(4)), "convexity")
+        with pytest.raises(ResourceLimitError, match="capped at 20 vertices"):
+            realizes(Graph(21), SetFamily(21, [0, (1 << 21) - 1]), "convexity")
+
+    def test_convexity_near_misses(self):
+        # one member added, removed or swapped for another of the same size
+        rng = random.Random(77)
+        hits = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            g = random_c4_free_graph(n, rng) if rng.random() < 0.7 else random_graph(n, rng)
+            h = rng.choice([g, random_graph(n, rng)])
+            masks = set(digital_convexity(h).masks)
+            outside = sorted(set(range(1 << n)) - masks)
+            inner = sorted(masks)
+            for kind in ("same", "added", "removed", "swapped"):
+                near = set(masks)
+                if kind == "added" and outside:
+                    near.add(rng.choice(outside))
+                elif kind == "removed":
+                    near.discard(rng.choice(inner))
+                elif kind == "swapped":
+                    gone = rng.choice(inner)
+                    same_size = [m for m in outside if m.bit_count() == gone.bit_count()]
+                    if same_size:
+                        near = near - {gone} | {rng.choice(same_size)}
+                d = SetFamily(n, near)
+                want = digital_convexity(g) == d
+                assert realizes(g, d, "convexity") == want
+                hits[kind, want] += 1
+        assert {("same", True), ("same", False), ("added", False), ("removed", False),
+                ("swapped", False)} <= set(hits)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
             realizes(P3, closed_support(P3), "deck")
@@ -607,6 +643,61 @@ class TestResultContract:
                         digest.update(repr((r.verdict, adj, r.truncated,
                                             r.nodes_explored)).encode())
         assert digest.hexdigest() == self.ANSWERS_SHA256
+
+    # The same answer tuples from ``from_digital_convexity`` in ``all`` and
+    # ``first`` mode on 60 seeded C4-free graphs at n = 12-14 whose
+    # convexity has 200-799 members, each followed by its family with one
+    # member other than the empty set and V dropped.  These families are
+    # large enough for the member lattice, which no family at n <= 4
+    # reaches.  ``first`` mode pins the entry order the realizer is handed.
+    LATTICE_ANSWERS_SHA256 = "ca4f143c3f71eeb385f1c4771b55a4a66d0763a1ebd0f93ce4c6fe9258cf2039"
+
+    def test_lattice_branch_answers_pinned(self):
+        rng = random.Random(1414)
+        digest = hashlib.sha256()
+        kept = 0
+        while kept < 60:
+            n = rng.choice((12, 13, 14))
+            g = random_c4_free_graph(n, rng)
+            d = digital_convexity(g)
+            if not 200 <= len(d) < 800:
+                continue
+            kept += 1
+            assert lattice_pays(len(d), n)
+            drop = rng.choice(d.masks[1:-1])
+            dropped = SetFamily(n, [m for m in d.masks if m != drop])
+            result, refuted = from_digital_convexity(d, "all"), from_digital_convexity(dropped, "all")
+            assert g in result.graphs and refuted.verdict == "infeasible"
+            for r in (result, refuted, from_digital_convexity(d, "first")):
+                adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
+                digest.update(repr((r.verdict, adj, r.truncated, r.nodes_explored)).encode())
+        assert digest.hexdigest() == self.LATTICE_ANSWERS_SHA256
+
+    # The same answer tuples in ``all`` and ``first`` mode on every labeled
+    # graph with n <= 5, each followed by its convexity with the middle
+    # member dropped; one digest for both sides of the pair / lattice
+    # cut-over.  Without the empty set or V a family fails the axioms
+    # before any search.
+    SMALL_CONVEXITY_ANSWERS_SHA256 = (
+        "30f0c28307ad142d312ddb65968edba6644cff1fc28afcff35a513d8ca897d33")
+
+    def test_small_convexity_answers_pinned_on_both_sides(self, lattice_side):
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for g in enumerate_labeled_graphs(n):
+                d = digital_convexity(g)
+                result = from_digital_convexity(d, "all")
+                assert g in result.graphs
+                dropped = SetFamily(n, d.masks[:len(d) // 2] + d.masks[len(d) // 2 + 1:])
+                for r in (result, from_digital_convexity(d, "first"),
+                          from_digital_convexity(dropped, "all")):
+                    adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
+                    digest.update(repr((r.verdict, adj, r.truncated,
+                                        r.nodes_explored)).encode())
+                for gone in (0, (1 << n) - 1):
+                    r = from_digital_convexity(SetFamily(n, set(d.masks) - {gone}), "all")
+                    assert (r.verdict, r.nodes_explored) == ("infeasible", 0)
+        assert digest.hexdigest() == self.SMALL_CONVEXITY_ANSWERS_SHA256
 
 
 PATHS = pytest.mark.parametrize("reconstruct,invariant", [
