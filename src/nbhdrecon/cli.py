@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deep", action="store_true",
                    help="allow the large sweeps (n=7 is millions of graphs, n=8 hours)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="partition the sweep across this many worker processes")
+                   help="partition the sweep across this many worker threads")
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("verify", help="exhaustively check collision-pair properties")

@@ -3,15 +3,15 @@
 Three entry points, one per invariant:
 
 * :func:`from_multiset`  - from the multiset of closed neighborhoods;
-* :func:`from_support`   - from the set of closed neighborhoods, through the
-  quotient over twin classes;
+* :func:`from_support`   - from the set of closed neighborhoods, reduced
+  onto the lowest vertex of each twin class;
 * :func:`from_digital_convexity` - from the family of digitally convex sets,
   by complementing into neighborhood unions and reducing them once, onto
   the closed neighborhoods of the base vertices.
 
 One private exact search, :func:`_realize`, sits under all three.  Both
-set-family paths hand it a multiset with every multiplicity one and blow
-each realization up to the whole universe with :func:`_expand`.
+set-family paths cut their masks down to base vertices, realize them and
+blow each realization up to the whole universe in :func:`_realize_on_base`.
 The convexity reduction suffices: with S the base vertices, the graph
 induced on S is twin-free and none of its closed neighborhoods is a union of
 the others, so the union basis cut down to S is its closed-neighborhood
@@ -30,7 +30,6 @@ yield the infeasible verdict rather than an exception.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,15 +149,20 @@ def equivalence_classes(gen: SetFamily) -> EquivalenceClasses:
     generating family.  The representative of each block is its minimum id.
     """
     n = gen.universe
-    by_sig: dict[int, int] = {}  # signature -> block, first seen at its lowest id
-    for v, s in incidence_signatures(gen).items():
-        by_sig[s] = by_sig.get(s, 0) | 1 << v
-    blocks = by_sig.values()
-    return EquivalenceClasses(
-        n,
-        tuple(VertexSet(b, n) for b in blocks),
-        tuple((b & -b).bit_length() - 1 for b in blocks),
-    )
+    base, canon = _twin_classes(gen)
+    blocks = [0] * len(base)
+    for v, c in enumerate(canon):
+        blocks[c.bit_length() - 1] |= 1 << v
+    return EquivalenceClasses(n, tuple(VertexSet(b, n) for b in blocks), tuple(base))
+
+
+def _twin_classes(gen: SetFamily) -> tuple[list[int], list[int]]:
+    """The lowest vertex of each twin class of ``gen``, ascending, and for
+    each vertex the bit ``1 << i`` of its class, i its index in that list."""
+    sig = incidence_signatures(gen).values()  # in vertex order
+    index = {s: i for i, s in enumerate(dict.fromkeys(sig))}
+    canon = [1 << index[s] for s in sig]
+    return [canon.index(1 << i) for i in range(len(index))], canon
 
 
 def quotient_family(gen: SetFamily, classes: EquivalenceClasses) -> SetFamily:
@@ -278,26 +282,32 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction from the support (set) of closed neighborhoods
+# The step both set-family paths share, and reconstruction from the support
 # ---------------------------------------------------------------------------
 
 
-def _expand(found: list[tuple[int, ...]], canon: list[int], m: int) -> Iterator[Graph]:
-    """Blow each graph in ``found``, an adjacency tuple q on the m
-    representatives, up to V.
+def _realize_on_base(masks: np.ndarray, base: list[int], canon: list[int],
+                     cap: int) -> tuple[list[Graph], int]:
+    """Realize ``masks`` cut down to ``base`` (bit i for ``base[i]``; the
+    cuts must be distinct), each cut once, and blow every realization q up
+    through ``canon``; return up to ``cap`` graphs and the nodes explored.
 
-    ``canon[v]`` is the mask of the representatives whose closed
-    neighborhoods make up N[v].  w is adjacent to v exactly when a
-    representative of w lies in the closed neighborhood in q of a
-    representative of v, which is symmetric because q is.
+    ``canon[v]`` is the mask of the base indices whose closed neighborhoods
+    make up N[v]: w is adjacent to v exactly when a base index of w lies in
+    N_q[r] for a base index r of v, which is symmetric because q is.
     """
+    m = len(base)
+    cut = (((masks[:, None] >> np.array(base, dtype=masks.dtype)) & 1)
+           << np.arange(m, dtype=masks.dtype)).sum(axis=1, dtype=np.uint64)
+    found, nodes = _realize(m, [(c, 1) for c in cut[_canonical_order(cut)].tolist()], cap)
     n = len(canon)
-    owners = [0] * m  # owners[r]: the vertices with r among their representatives
+    owners = [0] * m  # owners[r]: the vertices with r among their base indices
     for v, c in enumerate(canon):
         for r in mask_members(c):
             owners[r] |= 1 << v
+    graphs = []
     for q in found:
-        reach = []  # reach[r]: the vertices owning a representative in N_q[r]
+        reach = []  # reach[r]: the vertices owning a base index in N_q[r]
         for r, row_q in enumerate(q):
             row = 0
             for s in mask_members(row_q | (1 << r)):
@@ -309,30 +319,24 @@ def _expand(found: list[tuple[int, ...]], canon: list[int], m: int) -> Iterator[
             for r in mask_members(c):
                 row |= reach[r]
             adj.append(row & ~(1 << v))
-        yield Graph._from_adj_unchecked(n, tuple(adj))
+        graphs.append(Graph._from_adj_unchecked(n, tuple(adj)))
+    return graphs, nodes
 
 
 def from_support(f: SetFamily, mode: str = "all",
                  limit: int = DEFAULT_SOLUTION_LIMIT) -> ReconstructionResult:
     """Find labeled graphs whose set of closed neighborhoods equals ``f``.
 
-    Pipeline: twin classes from the family, quotient family over the class
-    universe (one closed neighborhood per class, all multiplicities one),
-    exact realization of the quotient, then blow-up of each class into a
-    clique of twins.  The classes come from f's own signatures, so the
-    quotient cannot fail; the realizer rejects a vertex in no member and a
+    Twins lie in the same members of f, so cut down to the lowest vertex of
+    each twin class the members are the closed neighborhoods of the quotient
+    graph, each once; blowing each class up into a clique of twins gives
+    every candidate.  The realizer rejects a vertex in no member and a
     member count other than the class count.
     """
     t0 = time.perf_counter()
     cap = _check_mode(mode, limit, f.universe)
-    classes = equivalence_classes(f)
-    quotient = quotient_family(f, classes)  # canonically ordered
-    found, nodes = _realize(len(classes.blocks), [(q, 1) for q in quotient.masks], cap)
-    canon = [0] * f.universe
-    for i, block in enumerate(classes.blocks):
-        for v in block:
-            canon[v] = 1 << i
-    candidates = list(_expand(found, canon, len(classes.blocks)))
+    base, canon = _twin_classes(f)
+    candidates, nodes = _realize_on_base(f.mask_array, base, canon, cap)
     return _verdict(mode, limit, cap, candidates, nodes, t0, f, "support")
 
 
@@ -379,14 +383,10 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     # every subset relation: all that the base vertices and can() read
     sig = {v: ((1 << len(d)) - 1) ^ s for v, s in incidence_signatures(d).items()}
     base = _base_vertices_from_signatures(sig)  # nonempty: V is in U
-    # bit i stands for base[i]; distinct, since no two members of U agree on S
-    compacted = (((irreducible[:, None] >> np.array(base, dtype=np.uint32)) & 1)
-                 << np.arange(len(base), dtype=np.uint32)).sum(axis=1, dtype=np.uint64)
-    entries = [(cm, 1) for cm in compacted[_canonical_order(compacted)].tolist()]
-    found, nodes = _realize(len(base), entries, cap)
     canon = [mask_of(i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
              for v in range(n)]
-    candidates = list(_expand(found, canon, len(base)))
+    # the cuts are distinct, since no two members of U agree on S
+    candidates, nodes = _realize_on_base(irreducible, base, canon, cap)
     return _verdict(mode, limit, cap, candidates, nodes, t0, d, "convexity")
 
 

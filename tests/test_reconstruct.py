@@ -96,6 +96,25 @@ def reconstruct_group(kind, n, key, group):
     return result
 
 
+SUPPORT_MODES = (("first", 1), ("all", 1), ("all", 4), ("count", 64))
+
+
+def random_supports():
+    """``(family, modes)`` pairs for the support path past n = 4.  First
+    3,000 families of 1..n+1 random masks at n = 1..9, each mask holding one
+    random vertex, so some vertices lie in no member and member counts
+    differ from class counts; then the closed supports of 200 G(n, p)
+    graphs at n = 10..16 with p uniform, which are rich in twins."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        masks = [rng.getrandbits(n) | 1 << rng.randrange(n)
+                 for _ in range(rng.randint(1, n + 1))]
+        yield SetFamily(n, masks), SUPPORT_MODES
+    for _ in range(200):
+        yield closed_support(random_graph(rng.randint(10, 16), rng)), (("all", 16),)
+
+
 class TestEquivalenceClasses:
     def test_worked_example_classes(self, worked_example_support):
         classes = equivalence_classes(worked_example_support)
@@ -124,6 +143,9 @@ class TestEquivalenceClasses:
                 nbs = {g.closed_mask(v) for v in block}
                 assert len(nbs) == 1
             assert seen == (1 << g.n) - 1
+            # blocks in order of their lowest vertex, which represents them
+            assert classes.representatives == tuple(
+                sorted(block.members()[0] for block in classes.blocks))
 
 
 class TestQuotientFamily:
@@ -367,6 +389,35 @@ class TestFromSupport:
             result = from_support(closed_support(g), "all", 8)
             assert result.verdict == "unique"
             assert result.graph == g
+
+
+    def test_realizer_gets_the_quotient_family(self, monkeypatch):
+        # the cut onto the lowest vertex of each twin class hands the realizer
+        # exactly the public quotient over the public twin classes
+        families = {closed_support(g) for n in range(1, 6) for g in enumerate_labeled_graphs(n)}
+        families.update(f for f, _ in random_supports())
+        expected = {}
+        for f in families:
+            classes = equivalence_classes(f)
+            expected[f] = (len(classes.blocks),
+                           [(q, 1) for q in quotient_family(f, classes).masks])
+        calls = []
+        realize = reconstruct_module._realize
+
+        def spy(n, entries, cap):
+            calls.append((n, list(entries)))
+            return realize(n, entries, cap)
+
+        def unused(*args):
+            raise AssertionError("from_support must not build the public quotient")
+
+        monkeypatch.setattr(reconstruct_module, "_realize", spy)
+        monkeypatch.setattr(reconstruct_module, "equivalence_classes", unused)
+        monkeypatch.setattr(reconstruct_module, "quotient_family", unused)
+        for f in families:
+            calls.clear()
+            from_support(f, "first")
+            assert calls == [expected[f]]
 
 
 class TestFromDigitalConvexity:
@@ -643,6 +694,19 @@ class TestResultContract:
                         digest.update(repr((r.verdict, adj, r.truncated,
                                             r.nodes_explored)).encode())
         assert digest.hexdigest() == self.ANSWERS_SHA256
+
+    # The same answer tuples from ``from_support`` on the ``random_supports``
+    # corpus, 12,200 calls, which pins the path past the realizable n <= 4.
+    SUPPORT_ANSWERS_SHA256 = "7d340044a65574830e9ff598749dd3d14e237ae6cc280cc8085fe616cf537b62"
+
+    def test_support_answers_pinned_on_random_families(self):
+        digest = hashlib.sha256()
+        for f, modes in random_supports():
+            for mode, limit in modes:
+                r = from_support(f, mode, limit)
+                adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
+                digest.update(repr((r.verdict, adj, r.truncated, r.nodes_explored)).encode())
+        assert digest.hexdigest() == self.SUPPORT_ANSWERS_SHA256
 
     # The same answer tuples from ``from_digital_convexity`` in ``all`` and
     # ``first`` mode on 60 seeded C4-free graphs at n = 12-14 whose
