@@ -14,20 +14,23 @@ the same shape with repeated arrays.  Graphs serialize as
 JSON output is ``dumps_canonical``: compact, keys sorted.  The one stream
 too large for a dict and a ``json.dumps`` per record, the collision groups
 of ``mine``, is written by ``collision_json_blocks`` straight from the
-miner's arrays in fixed-format blocks; ``dumps_canonical`` of the record
-dict stays its test oracle, and the two agree byte for byte.
+miner's arrays: each block of lines is one join over a table of text
+pieces, indexed by an int array that numpy builds from the groups' fields,
+offsets and checks.  ``dumps_canonical`` of the record dict stays its test
+oracle, and the two agree byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from itertools import repeat
+
+import numpy as np
 
 from .errors import FormatError, InputError
 from .families import NeighborhoodMultiset, SetFamily
 from .graphs import Graph, mask_members
-from .miner import CollisionArrays, PairArrays, graph6_strings
+from .miner import CollisionArrays, PairArrays, _graph6_bytes
 
 GRAPH6_MAX_VERTICES = 62
 GRAPH6_HEADER = ">>graph6<<"
@@ -234,43 +237,74 @@ def collision_json_blocks(groups: CollisionArrays,
     """The JSON lines of ``mine``, one per collision group, in text blocks of
     :data:`MINE_BLOCK_GROUPS` groups.
 
-    Line i is ``dumps_canonical`` of group i's record, written straight
-    from the arrays with its keys in sorted order: ``fingerprint``,
-    ``graphs`` (graph6 of the members), ``kind`` and ``n``, and for a
-    closed multiset ``checks`` and ``witness`` from ``first``, the
-    :func:`~nbhdrecon.miner.pair_checks` of ``groups.first_pairs()``.
+    Line i is ``dumps_canonical`` of group i's record with its keys in sorted
+    order: ``fingerprint``, ``graphs`` (graph6 of the members), ``kind`` and
+    ``n``, and for a closed multiset ``checks`` and ``witness`` from
+    ``first``, the :func:`~nbhdrecon.miner.pair_checks` of
+    ``groups.first_pairs()``.  A block is one join over a table of pieces,
+    indexed by an int array built with numpy: per group its head (the
+    checks), one member text per field, the ``"graphs"`` separator, each
+    member's graph6, the first bare and the others after ``","``, and its
+    tail (the witness).  No Python object is built per group.
     """
     n = groups.n
+    # Mask m prints as member text m, or 2^n + m after a comma.  A zero field
+    # of a support is padding and prints nothing; a closed neighborhood is
+    # never empty, and an empty open one prints as [].
     members = ["[" + ",".join(map(str, mask_members(m))) + "]" for m in range(1 << n)]
+    if groups.kind == "closed-support":
+        members[0] = ""
     tail = f'"],"kind":"{groups.kind}","n":{n}'
-    if first is not None:
-        flags = (8 * first.both_contain_c4 + 4 * first.edge_transit
-                 + 2 * first.equal_edge_count + first.orbits_are_cliques).tolist()
-        check_heads = [
+    count = len(groups.offsets) - 1
+    if first is None:
+        heads, tails = ['{"fingerprint":['], [tail + "}\n"]
+        head_ids = tail_ids = np.zeros(count, dtype=np.intp)
+    else:
+        heads = [
             '{"checks":' + dumps_canonical({
                 "both_contain_c4": bool(f & 8), "edge_transit": bool(f & 4),
                 "equal_edge_count": bool(f & 2), "orbits_are_cliques": bool(f & 1),
             }) + ',"fingerprint":[' for f in range(16)]
-        witnesses = first.cycle_notations()
-        witness_tails = {w: tail + ',"witness":' + json.dumps(w) + "}\n"
-                         for w in set(witnesses)}
-    bounds = groups.offsets.tolist()
-    count = len(groups.fingerprints)
+        head_ids = (8 * first.both_contain_c4 + 4 * first.edge_transit
+                    + 2 * first.equal_edge_count + first.orbits_are_cliques).astype(np.intp)
+        witnesses, tail_ids = first._witness_index()
+        tails = [tail + ',"witness":' + json.dumps(w) + "}\n" for w in witnesses]
+    pieces = np.array([text.encode() for text in (
+        members + ["," + text if text else "" for text in members]
+        + heads + ['],"graphs":["'] + tails)], dtype=object)
+    head_at = 2 << n
+    separator = head_at + len(heads)
+    tail_at = separator + 1
+    graph6_at = tail_at + len(tails)
+    fields = groups.fields.astype(np.intp)
+    fields[:, 1:] += 1 << n
+    row = n + 3  # the pieces of a line besides its graph6
+    bounds = groups.offsets
     for lo in range(0, count, MINE_BLOCK_GROUPS):
         hi = min(lo + MINE_BLOCK_GROUPS, count)
-        if first is None:
-            heads = repeat('{"fingerprint":[')
-            tails = repeat(tail + "}\n")
-        else:
-            heads = map(check_heads.__getitem__, flags[lo:hi])
-            tails = map(witness_tails.__getitem__, witnesses[lo:hi])
         at = bounds[lo]
-        graph6 = graph6_strings(n, groups.edge_masks[at:bounds[hi]])
-        lines = [head + ",".join(map(members.__getitem__, fp)) + '],"graphs":["'
-                 + '","'.join(graph6[start - at:stop - at]) + end
-                 for fp, start, stop, head, end in zip(
-                     groups.fingerprints[lo:hi], bounds[lo:hi], bounds[lo + 1:hi + 1],
-                     heads, tails)]
+        graph6 = _graph6_bytes(n, groups.edge_masks[at:bounds[hi]])
+        size, width = graph6.shape
+        quoted = np.empty((size, width + 3), dtype=np.uint8)
+        quoted[:, :3] = list(b'","')
+        quoted[:, 3:] = graph6
+        table = np.concatenate((pieces, graph6.view(f"S{width}").ravel().astype(object),
+                                quoted.view(f"S{width + 3}").ravel().astype(object)))
+
+        # Line k's pieces start at line[k]: head, n fields, separator, its
+        # members' graph6, the first bare, and its tail.  So member t of the
+        # block, in line k, is piece line[k] + n + 2 + t - first_member[k].
+        sizes = np.diff(bounds[lo:hi + 1])
+        first_member = bounds[lo:hi] - at
+        line = np.arange(hi - lo) * row + first_member
+        ids = np.empty((hi - lo) * row + size, dtype=np.intp)
+        ids[np.repeat(line - first_member + n + 2, sizes) + np.arange(size)] = \
+            graph6_at + size + np.arange(size)
+        ids[line] = head_at + head_ids[lo:hi]
+        ids[line[:, None] + np.arange(1, n + 1)] = fields[lo:hi]
+        ids[line + n + 1] = separator
+        ids[line + n + 2] = graph6_at + first_member
+        ids[line + n + 2 + sizes] = tail_at + tail_ids[lo:hi]
         # graph6 bytes run from 63 to 126, so the backslash is the one
         # character in a line that JSON escapes.
-        yield "".join(lines).replace("\\", "\\\\")
+        yield b"".join(table[ids].tolist()).replace(b"\\", b"\\\\").decode()

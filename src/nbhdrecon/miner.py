@@ -17,9 +17,12 @@ stop at n = 8, so an edge mask fits a uint32 and a neighborhood one byte.
   packs them into one uint64 key per graph, the smallest mask most
   significant, so key order is fingerprint order; ``_chunk_keys`` ORs one
   table of rows per sweep with each chunk's high bits.
-* ``collision_arrays`` argsorts only the keys whose hash matches a repeated
-  key's and keeps each run of two or more equal keys: the members' edge
-  masks in group order, plus offsets.
+* ``_collision_candidates`` hashes each key once to 32 bits and sorts the
+  hashes; the keys whose hash's top bits match a repeated hash's are the
+  candidates, a superset of the repeated keys.
+* ``collision_arrays`` argsorts only the candidates and keeps each run of
+  two or more equal keys: the members' edge masks in group order, offsets,
+  and each group's fingerprint as one uint8 row of ``fields``.
 * ``graph6_strings`` writes graph6 straight from edge masks.
 * ``pair_checks`` makes every structural check on many closed-multiset
   pairs at once; ``_induced_c4`` is its induced-C4 flag.
@@ -29,8 +32,9 @@ in plain Python for auditability and checked against them in the test
 suite: ``invariant_fingerprint`` for the keys, ``formats.to_graph6`` for
 graph6, ``contains_induced_c4`` for the C4 flag, and
 ``check_collision_pair`` with ``witness_permutation`` for the pair checks.
-``find_collisions`` hands groups out as ``Graph`` objects; the ``mine`` and
-``verify`` commands build none per member, and ``mine`` writes its JSON
+``find_collisions`` hands groups out as ``Graph`` objects with fingerprint
+tuples (``CollisionArrays.fingerprints``).  The ``mine`` and ``verify``
+commands build neither, per member or per group: ``mine`` writes its JSON
 lines from these arrays with ``formats.collision_json_blocks``.
 """
 
@@ -58,6 +62,10 @@ MAX_ENUMERATION_SIZE = 8
 KINDS = ("closed-multiset", "closed-support", "open-multiset")
 
 _CHUNK_BITS = 16  # 2^16 edge masks a chunk: its rows and keys stay in cache
+
+#: Multiplier of the candidate hash: the odd integer nearest 2^64 over the
+#: golden ratio.
+_HASH_MIX = 0x9E3779B97F4A7C15
 
 
 def _check_size(n: int, allow_large: bool) -> int:
@@ -171,28 +179,47 @@ def _chunk_keys(n: int, kind: str, table: np.ndarray, chunk: int) -> np.ndarray:
 
 def _collision_candidates(keys: np.ndarray, bits: int) -> np.ndarray:
     """Ascending indices of the repeated keys and of the few others whose
-    multiply-shift hash to ``bits`` bits equals a repeated key's."""
-    mix, shift = np.uint64(0x9E3779B97F4A7C15), np.uint64(64 - bits)
-    ordered = np.sort(keys)
+    hash's top ``bits`` bits equal a repeated key's.
+
+    The hash is the high half of ``key * _HASH_MIX`` mod 2^64, one uint32 per
+    key.  Equal keys have equal hashes, so sorting the hashes, at half the
+    width of the keys, finds every repeated key's hash.
+    """
+    hashes = keys * np.uint64(_HASH_MIX)
+    hashes >>= np.uint64(32)
+    hashes = hashes.astype(np.uint32)
+    ordered = np.sort(hashes)
+    shift = np.uint32(32 - bits)
     marked = np.zeros(1 << bits, dtype=bool)
-    marked[ordered[1:][ordered[1:] == ordered[:-1]] * mix >> shift] = True
-    return np.flatnonzero(marked[keys * mix >> shift])
+    marked[ordered[1:][ordered[1:] == ordered[:-1]] >> shift] = True
+    return np.flatnonzero(marked[hashes >> shift])
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CollisionArrays:
     """The collision groups of one sweep, as arrays.
 
-    Group i has fingerprint ``fingerprints[i]`` and members
-    ``edge_masks[offsets[i]:offsets[i + 1]]`` (uint32, in edge-mask order).
+    Group i has members ``edge_masks[offsets[i]:offsets[i + 1]]`` (uint32,
+    in edge-mask order) and its fingerprint's masks in row ``fields[i]``
+    (uint8, ascending; a closed support's row ends in zeros, its padding).
     Groups ascend by fingerprint.
     """
 
     kind: str
     n: int
-    fingerprints: tuple[tuple[int, ...], ...]
+    fields: np.ndarray
     edge_masks: np.ndarray
     offsets: np.ndarray
+
+    @property
+    def fingerprints(self) -> tuple[tuple[int, ...], ...]:
+        """Each group's fingerprint as a mask tuple, padding dropped: one
+        tuple per group, which the sweep commands never build."""
+        # A closed mask is never zero, so a zero field of the support is padding.
+        rows = self.fields.tolist()
+        if self.kind == "closed-support":
+            return tuple(tuple(f for f in row if f) for row in rows)
+        return tuple(map(tuple, rows))
 
     def first_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge masks of each group's first two members."""
@@ -260,15 +287,9 @@ def collision_arrays(n: int, kind: str = "closed-multiset",
     opens[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(opens)
 
-    # A closed mask is never zero, so a zero field of the support is padding.
     shifts = n * np.arange(n - 1, -1, -1, dtype=np.uint64)
-    fields = ((keys[starts, None] >> shifts) & np.uint64((1 << n) - 1)).tolist()
-    if kind == "closed-support":
-        fingerprints = tuple(tuple(f for f in fp if f) for fp in fields)
-    else:
-        fingerprints = tuple(map(tuple, fields))
-    return CollisionArrays(kind, n, fingerprints, edge_masks,
-                           np.append(starts, len(keys)))
+    fields = (keys[starts, None] >> shifts).astype(np.uint8) & np.uint8((1 << n) - 1)
+    return CollisionArrays(kind, n, fields, edge_masks, np.append(starts, len(keys)))
 
 
 def find_collisions(n: int, kind: str = "closed-multiset",
@@ -289,7 +310,13 @@ def find_collisions(n: int, kind: str = "closed-multiset",
 
 
 def graph6_strings(n: int, edge_masks: np.ndarray) -> list[str]:
-    """graph6 of every graph in the uint32 array ``edge_masks``.
+    """graph6 of every graph in the uint32 array ``edge_masks``."""
+    g6 = _graph6_bytes(n, edge_masks)
+    return g6.view(f"S{g6.shape[1]}").ravel().astype(str).tolist()
+
+
+def _graph6_bytes(n: int, edge_masks: np.ndarray) -> np.ndarray:
+    """(N, width) uint8 array: row i holds the graph6 characters of graph i.
 
     graph6 reads the upper triangle column by column and packs six bits a
     byte, the first bit most significant; each of its bits is one edge-mask
@@ -305,7 +332,7 @@ def graph6_strings(n: int, edge_masks: np.ndarray) -> list[str]:
         for t, k in enumerate(bits[6 * j - 6:6 * j]):
             byte |= ((edge_masks >> k) & 1) << (5 - t)
         out[:, j] = byte + 63
-    return out.view(f"S{width}").ravel().astype(str).tolist()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +507,19 @@ class PairArrays:
 
     def cycle_notations(self) -> list[str | None]:
         """:meth:`PermutationWitness.cycle_notation` of each pair's witness."""
+        notations, which = self._witness_index()
+        return list(map(notations.__getitem__, which.tolist()))
+
+    def _witness_index(self) -> tuple[list[str | None], np.ndarray]:
+        """The distinct cycle notations of the witnesses, then None, and per
+        pair the index of its own entry in that list."""
         # A row read as 3-bit digits (n <= 8) is one integer, so a 1-D sort
         # finds the distinct witnesses.
         codes = (self.sigma << 3 * np.arange(self.sigma.shape[1])).sum(axis=1)
         _, first, which = np.unique(codes, return_index=True, return_inverse=True)
-        notation = [PermutationWitness(tuple(sigma)).cycle_notation()
-                    for sigma in self.sigma[first].tolist()]
-        return [notation[i] if ok else None
-                for i, ok in zip(which.tolist(), self.has_witness.tolist())]
+        notations = [PermutationWitness(tuple(sigma)).cycle_notation()
+                     for sigma in self.sigma[first].tolist()]
+        return notations + [None], np.where(self.has_witness, which.ravel(), len(notations))
 
 
 def pair_checks(n: int, g: np.ndarray, h: np.ndarray) -> PairArrays:
@@ -569,5 +601,5 @@ def verify_collisions(n: int, allow_large: bool = False) -> CollisionAuditReport
         if not checks.edge_transit[i]:
             raise VerificationError(f"edge transit fails: {pair}")
         raise VerificationError(f"collision pair without induced C4: {pair}")
-    return CollisionAuditReport(n, total, len(groups.fingerprints), len(g),
+    return CollisionAuditReport(n, total, len(groups.offsets) - 1, len(g),
                                 int(checks.orbit_counts.sum()))

@@ -256,6 +256,23 @@ class TestMineAndVerify:
         assert (code, err) == (0, "")
         assert out == "".join(line + "\n" for line in oracle_mine_lines(6, "closed-multiset"))
 
+    def test_no_tuple_built_per_group(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("fingerprint tuples built on the sweep path")
+
+        monkeypatch.setattr(miner.CollisionArrays, "fingerprints", property(refuse))
+        with pytest.raises(AssertionError):
+            miner.collision_arrays(4).fingerprints
+        # groups per kind, in the order of miner.KINDS
+        for n, counts in ((5, (40, 50, 40)), (6, (1241, 1741, 1241))):
+            for kind, groups in zip(miner.KINDS, counts):
+                code, out, err = run(capsys, "mine", "--n", str(n), "--kind", kind)
+                assert (code, err) == (0, "")
+                assert out.count("\n") == groups
+            code, out, err = run(capsys, "verify", "--n", str(n))
+            assert (code, err) == (0, "")
+            assert jline(out)["collision_groups"] == counts[0]
+
     def test_verify_n7_report_pinned(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "7", "--deep")
         assert (code, err) == (0, "")

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import sys
 from collections import Counter, defaultdict
@@ -26,7 +27,7 @@ from nbhdrecon.miner import (
     witness_permutation,
 )
 
-from nbhdrecon.formats import to_graph6
+from nbhdrecon.formats import collision_json_blocks, to_graph6
 
 from helpers import nbhd_sets, oracle_collision_pairs, oracle_least_witness, random_graph
 
@@ -176,6 +177,17 @@ class TestFindCollisions:
             assert_same_arrays(got, want)
             assert (len(got.fingerprints) > 0) == (n >= 4)
 
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    def test_one_shared_hash_changes_nothing(self, monkeypatch, kind):
+        # a zero multiplier hashes every key to 0, so every key collides in
+        # the hash and all graphs are candidates
+        default = [miner.collision_arrays(n, kind) for n in range(1, 7)]
+        monkeypatch.setattr(miner, "_HASH_MIX", 0)
+        keys = np.array([5, 9, 5, 7], dtype=np.uint64)
+        assert miner._collision_candidates(keys, 2).tolist() == [0, 1, 2, 3]
+        for n, want in enumerate(default, 1):
+            assert_same_arrays(miner.collision_arrays(n, kind), want)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_candidates_hold_every_repeated_key(self, n):
         keys = miner._keys_from_rows(n, "closed-multiset", miner._neighborhood_rows(
@@ -296,6 +308,8 @@ class TestVerify:
 
 def assert_same_arrays(got, want):
     assert got.fingerprints == want.fingerprints
+    assert got.fields.dtype == want.fields.dtype
+    assert got.fields.tolist() == want.fields.tolist()
     assert got.edge_masks.dtype == want.edge_masks.dtype
     assert got.edge_masks.tolist() == want.edge_masks.tolist()
     assert got.offsets.tolist() == want.offsets.tolist()
@@ -457,6 +471,27 @@ class TestArrayKernels:
         assert len([graph6[lo:hi] for lo, hi in zip(bounds, bounds[1:])]) == 40
         assert miner.pair_checks(5, *groups.all_pairs()).all_ok().all()
         assert verify_collisions(5).pairs_checked == 60
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    def test_fields_are_padded_fingerprints(self, kind):
+        groups = miner.collision_arrays(6, kind)
+        firsts = groups.edge_masks[groups.offsets[:-1]].tolist()
+        want = [invariant_fingerprint(Graph.from_edge_mask(6, em), kind) for em in firsts]
+        assert groups.fields.dtype == np.uint8
+        assert groups.fields.shape == (len(groups.offsets) - 1, 6)
+        # a support's padding zeros sit at the back; other rows have no padding
+        assert groups.fields.tolist() == [list(fp) + [0] * (6 - len(fp)) for fp in want]
+        assert groups.fingerprints == tuple(want)
+        assert (groups.fields == 0).any() == (kind != "closed-multiset")
+
+    def test_empty_open_neighborhoods_printed(self):
+        # an empty open neighborhood is a zero field that is no padding
+        groups = miner.collision_arrays(6, "open-multiset")
+        empty = (groups.fields == 0).sum(axis=1).tolist()
+        lines = "".join(collision_json_blocks(groups)).splitlines()
+        assert len(lines) == len(empty) and sum(k >= 2 for k in empty) == 15
+        for line, k in zip(lines, empty):
+            assert json.loads(line)["fingerprint"].count([]) == k
 
     @pytest.mark.parametrize("n,ems", [(6, all_edge_masks(6)),
                                        (8, seeded_edge_masks(8, 2000, 28))])
