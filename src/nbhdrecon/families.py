@@ -12,7 +12,10 @@ The inclusion and equality tests ``cn_subset`` / ``cn_equal`` decide
 holds iff every family member meeting A also meets B.  Because meeting a
 union splits over its parts, evaluating the test on any generating family is
 equivalent to evaluating it on the full union closure, so the closure never
-has to be materialized.
+has to be materialized.  :func:`incidence_signatures` packs those tests into
+one int per vertex over a family's members; :func:`base_vertices` and the
+support path's twin classes read them over the whole family, while the
+convexity path builds its own over the union-irreducible members alone.
 """
 
 from __future__ import annotations
@@ -309,9 +312,10 @@ def lattice_pays(k: int, n: int) -> bool:
     and the searchsorted one in the axiom check 20-30 ns, and a lattice
     about 0.6 ns per n * 2^n cell at n = 14 to 18 plus ~170 us of fixed
     numpy set-up.  Hence pairs win while k^2 < n * 2^n / 128 + 2048.  The
-    measured crossovers at n = 8, 10, 12, 14 and 16: k ~ 39, 43, 48, 58 and
-    89 for the irreducibles, ~ 40, 46, 56, 81 and 160 for the axiom check;
-    the formula gives 45, 46, 49, 62 and 101.
+    measured crossovers at n = 8, 10, 12, 14 and 16: k ~ 29, 31, 35, 48 and
+    93 for the irreducibles (one gather per slab of members; 38, 40, 46, 62
+    and 102 with one numpy pass per bit, in the same sitting), ~ 40, 46, 56,
+    81 and 160 for the axiom check; the formula gives 45, 46, 49, 62 and 101.
     """
     return n <= LATTICE_CEILING and k * k > ((n << n) >> 7) + 2048
 
@@ -338,13 +342,29 @@ def irreducible_members(masks: Iterable[int], universe: int) -> list[int]:
     return _lattice_irreducible(member_lattice(arr, universe), arr, universe).tolist()
 
 
+#: Cells (bits x members) in one slab of the gather in
+#: :func:`_lattice_irreducible`: 1 MB per uint32 temporary, whatever the
+#: family's size.
+_IRREDUCIBLE_SLAB = 1 << 18
+
+
 def _lattice_irreducible(table: np.ndarray, arr: np.ndarray, n: int) -> np.ndarray:
     """The members in ``arr`` (distinct uint32 masks, ``table`` their member
-    lattice) that differ from the union of the members strictly below them."""
-    below = np.zeros_like(arr)
-    for b in range(n):
-        bit = np.uint32(1 << b)
-        below |= np.where(arr & bit, table[arr ^ bit], 0)
+    lattice) that differ from the union of the members strictly below them.
+
+    One gather per slab of members reads ``table[m ^ bit]`` for every bit;
+    the flip of a bit outside m reads m itself, so it is zeroed before the
+    OR-reduction over the bits.
+    """
+    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)[:, None]
+    block = max(1, _IRREDUCIBLE_SLAB // max(n, 1))
+    below = np.empty_like(arr)
+    for i0 in range(0, len(arr), block):
+        rows = arr[i0:i0 + block]
+        flips = rows & bits  # row b: bit b of each member
+        gathered = table[rows ^ flips]
+        gathered *= flips != 0
+        np.bitwise_or.reduce(gathered, axis=0, out=below[i0:i0 + block])
     return arr[below != arr]
 
 
@@ -398,6 +418,8 @@ def incidence_signatures(gen: SetFamily) -> dict[int, int]:
     Signatures turn the membership tests behind ``cn_subset`` / ``cn_equal``
     into single word operations: ``sig(u) subset-of sig(v)`` is exactly
     ``cn_subset({u}, {v}, gen)``, and OR-ing signatures handles vertex sets.
+    Its callers are :func:`base_vertices` and the support path's twin
+    classes; the convexity path builds its signatures over the union basis.
     """
     verts = range(gen.universe)
     # one row per vertex, each member packed to one bit (set when nonzero)

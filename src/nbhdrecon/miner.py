@@ -513,13 +513,17 @@ class PairArrays:
     def _witness_index(self) -> tuple[list[str | None], np.ndarray]:
         """The distinct cycle notations of the witnesses, then None, and per
         pair the index of its own entry in that list."""
-        # A row read as 3-bit digits (n <= 8) is one integer, so a 1-D sort
-        # finds the distinct witnesses.
-        codes = (self.sigma << 3 * np.arange(self.sigma.shape[1])).sum(axis=1)
-        _, first, which = np.unique(codes, return_index=True, return_inverse=True)
+        _, first, which = np.unique(_witness_codes(self.sigma), return_index=True,
+                                    return_inverse=True)
         notations = [PermutationWitness(tuple(sigma)).cycle_notation()
                      for sigma in self.sigma[first].tolist()]
         return notations + [None], np.where(self.has_witness, which.ravel(), len(notations))
+
+
+def _witness_codes(sigma: np.ndarray) -> np.ndarray:
+    """Each row of ``sigma`` (a witness on n <= 8 vertices) read as 3-bit
+    digits: one integer per witness, so a 1-D sort finds the distinct ones."""
+    return (sigma << 3 * np.arange(sigma.shape[1])).sum(axis=1)
 
 
 def pair_checks(n: int, g: np.ndarray, h: np.ndarray) -> PairArrays:
@@ -542,14 +546,21 @@ def pair_checks(n: int, g: np.ndarray, h: np.ndarray) -> PairArrays:
     np.put_along_axis(sigma, (tagged_g & 7).astype(np.intp),
                       (tagged_h & 7).astype(np.intp), axis=0)
 
-    # orbit[a] collects a, sigma(a), ..., sigma^(n-1)(a): the whole orbit of a.
+    # orbit[a] collects a, sigma(a), ..., sigma^(n-1)(a): the whole orbit of
+    # a.  At most n! witnesses are distinct, so the walk runs on those alone.
+    _, first, inverse = np.unique(_witness_codes(sigma.T), return_index=True,
+                                  return_inverse=True)
+    distinct = sigma[:, first]
     vertex_bit = (1 << np.arange(n)).astype(np.uint8)
-    image = np.broadcast_to(ids, sigma.shape)
+    image = np.broadcast_to(ids, distinct.shape)
     orbit = vertex_bit[image]
     for _ in range(n - 1):
-        image = np.take_along_axis(sigma, image, axis=0)
+        image = np.take_along_axis(distinct, image, axis=0)
         orbit |= vertex_bit[image]
-    orbit_counts = ((orbit & (vertex_bit[:, None] - 1)) == 0).sum(axis=0)
+    inverse = inverse.ravel()
+    orbit_counts = ((orbit & (vertex_bit[:, None] - 1)) == 0).sum(axis=0)[inverse]
+    orbit = orbit[:, inverse]
+    del inverse
     cliques = (((ng & orbit) == orbit) & ((nh & orbit) == orbit)).all(axis=0)
     transit = (ng == np.take_along_axis(nh, sigma, axis=0)).all(axis=0)
     return PairArrays(

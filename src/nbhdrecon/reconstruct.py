@@ -359,6 +359,13 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     others, so the union-irreducible members of U, cut down to S, are its
     closed neighborhoods, each once.  One realizer call on them and one
     blow-up through can() give every candidate.
+
+    S and can() are read from per-vertex signatures over those irreducible
+    members alone (at most n of them for a graph's convexity), not over
+    all of U.  The irreducibles generate U, so a member of U holding u
+    holds an irreducible that holds u: every containment and every
+    OR-equality of signatures comes out as over all of U, as in
+    :func:`~nbhdrecon.families.cn_subset`.
     """
     t0 = time.perf_counter()
     cap = _check_mode(mode, limit, d.universe)
@@ -379,9 +386,11 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     irreducible = (np.array(irreducible_members(u.tolist(), n), dtype=np.uint32)
                    if table is None else _lattice_irreducible(table, u, n))
 
-    # U's signatures are d's complemented within len(d) bits, which keeps
-    # every subset relation: all that the base vertices and can() read
-    sig = {v: ((1 << len(d)) - 1) ^ s for v, s in incidence_signatures(d).items()}
+    # bit i of sig[v]: irreducible i holds v
+    sig = dict.fromkeys(range(n), 0)
+    for i, m in enumerate(irreducible.tolist()):
+        for v in mask_members(m):
+            sig[v] |= 1 << i
     base = _base_vertices_from_signatures(sig)  # nonempty: V is in U
     canon = [mask_of(i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
              for v in range(n)]

@@ -182,6 +182,22 @@ def oracle_irreducible(members) -> set[frozenset]:
             if m and frozenset().union(*(o for o in distinct if o < m)) != m}
 
 
+def oracle_convexity_base(d) -> tuple[list[int], list[int]]:
+    """Base vertices and can() of the convexity ``d`` from the signatures
+    over every member of U, the complements of its members: ``d``'s
+    incidence signatures complemented within ``len(d)`` bits.  can(v) is the
+    mask of the indices i with N[base[i]] inside N[v].  This is the formula
+    the library's signatures over U's irreducible members replaced."""
+    from nbhdrecon.families import _base_vertices_from_signatures, incidence_signatures
+
+    full = (1 << len(d)) - 1
+    sig = {v: full ^ s for v, s in incidence_signatures(d).items()}
+    base = _base_vertices_from_signatures(sig)
+    canon = [sum(1 << i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
+             for v in range(d.universe)]
+    return base, canon
+
+
 def oracle_first_unclosed_pair(members):
     """First pair (i <= j) in canonical member order whose intersection is
     missing from the family, as a pair of sorted tuples, or None."""

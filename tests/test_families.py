@@ -20,7 +20,14 @@ from nbhdrecon import (
     union_basis,
     union_closure,
 )
-from nbhdrecon.families import incidence_signatures, lattice_pays, or_zeta
+from nbhdrecon import families
+from nbhdrecon.families import (
+    _lattice_irreducible,
+    incidence_signatures,
+    lattice_pays,
+    member_lattice,
+    or_zeta,
+)
 
 from helpers import (
     P3,
@@ -31,6 +38,7 @@ from helpers import (
     oracle_canonical_order,
     oracle_incidence_signatures,
     oracle_irreducible,
+    oracle_members,
     oracle_union_basis,
     oracle_union_closure,
     random_graph,
@@ -241,6 +249,42 @@ class TestUnionBasis:
             for drop in basis.masks:
                 rest = SetFamily(u, [m for m in basis.masks if m != drop])
                 assert not spans(rest, f)
+
+
+class TestLatticeIrreducible:
+    """The slab-bounded gather against the quadratic oracle, with slabs of
+    1-3 members so that several run."""
+
+    @staticmethod
+    def families_to_check():
+        yield 1, {0}
+        yield 1, {1}
+        yield 1, {0, 1}
+        rng = random.Random(43)
+        for trial in range(150):
+            n = rng.randint(1, 12)
+            atoms = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+            members = {0} if trial % 3 == 0 else set()
+            if trial % 2:  # union-closed, so the empty set is a member
+                members |= set(union_closure(SetFamily(n, atoms)).masks)
+            else:  # random unions of the atoms, many of them reducible
+                for _ in range(rng.randint(1, 12)):
+                    union = 0
+                    for a in atoms:
+                        if rng.random() < 0.5:
+                            union |= a
+                    members.add(union)
+            yield n, members
+
+    def test_small_slabs_match_oracle(self, monkeypatch):
+        rng = random.Random(47)
+        for n, members in self.families_to_check():
+            monkeypatch.setattr(families, "_IRREDUCIBLE_SLAB", rng.randint(1, 3) * n)
+            arr = np.fromiter(members, dtype=np.uint32, count=len(members))
+            got = _lattice_irreducible(member_lattice(arr, n), arr, n).tolist()
+            want = oracle_irreducible(frozenset(oracle_members(m)) for m in members)
+            assert len(got) == len(want)
+            assert {frozenset(oracle_members(m)) for m in got} == want
 
 
 class TestBaseVertices:

@@ -35,6 +35,7 @@ from helpers import (
     brute_force_multiset_realizations,
     nbhd_sets,
     oracle_convexity,
+    oracle_convexity_base,
     oracle_support,
     random_c4_free_graph,
     random_graph,
@@ -113,6 +114,23 @@ def random_supports():
         yield SetFamily(n, masks), SUPPORT_MODES
     for _ in range(200):
         yield closed_support(random_graph(rng.randint(10, 16), rng)), (("all", 16),)
+
+
+def lattice_corpus():
+    """``(g, d, dropped)`` for 60 seeded C4-free graphs g at n = 12-14 whose
+    convexity d has 200-799 members; ``dropped`` is d with one member other
+    than the empty set and V dropped."""
+    rng = random.Random(1414)
+    kept = 0
+    while kept < 60:
+        n = rng.choice((12, 13, 14))
+        g = random_c4_free_graph(n, rng)
+        d = digital_convexity(g)
+        if not 200 <= len(d) < 800:
+            continue
+        kept += 1
+        drop = rng.choice(d.masks[1:-1])
+        yield g, d, SetFamily(n, [m for m in d.masks if m != drop])
 
 
 class TestEquivalenceClasses:
@@ -480,6 +498,36 @@ class TestFromDigitalConvexity:
             assert result.verdict == "unique"
             assert result.graph == g
 
+    @staticmethod
+    def record_base(monkeypatch) -> list:
+        """Record the base vertices and can() each call hands the realizer."""
+        seen = []
+        realize_on_base = reconstruct_module._realize_on_base
+
+        def spy(masks, base, canon, cap):
+            seen.append((base, canon))
+            return realize_on_base(masks, base, canon, cap)
+
+        monkeypatch.setattr(reconstruct_module, "_realize_on_base", spy)
+        return seen
+
+    def test_basis_signatures_agree_with_full_family_on_small_graphs(
+            self, monkeypatch, lattice_side):
+        seen = self.record_base(monkeypatch)
+        for n in range(1, 6):
+            for g in enumerate_labeled_graphs(n):
+                d = digital_convexity(g)
+                seen.clear()
+                from_digital_convexity(d, "first")
+                assert seen == [oracle_convexity_base(d)]
+
+    def test_basis_signatures_agree_with_full_family_on_lattice_corpus(
+            self, monkeypatch, lattice_side):
+        seen = self.record_base(monkeypatch)
+        for _, d, _ in lattice_corpus():
+            seen.clear()
+            from_digital_convexity(d, "first")
+            assert seen == [oracle_convexity_base(d)]
 
     def test_size_ceiling_checked_before_any_work(self):
         # not intersection-closed, so the axiom check alone would say
@@ -717,19 +765,9 @@ class TestResultContract:
     LATTICE_ANSWERS_SHA256 = "ca4f143c3f71eeb385f1c4771b55a4a66d0763a1ebd0f93ce4c6fe9258cf2039"
 
     def test_lattice_branch_answers_pinned(self):
-        rng = random.Random(1414)
         digest = hashlib.sha256()
-        kept = 0
-        while kept < 60:
-            n = rng.choice((12, 13, 14))
-            g = random_c4_free_graph(n, rng)
-            d = digital_convexity(g)
-            if not 200 <= len(d) < 800:
-                continue
-            kept += 1
-            assert lattice_pays(len(d), n)
-            drop = rng.choice(d.masks[1:-1])
-            dropped = SetFamily(n, [m for m in d.masks if m != drop])
+        for g, d, dropped in lattice_corpus():
+            assert lattice_pays(len(d), g.n)
             result, refuted = from_digital_convexity(d, "all"), from_digital_convexity(dropped, "all")
             assert g in result.graphs and refuted.verdict == "infeasible"
             for r in (result, refuted, from_digital_convexity(d, "first")):
