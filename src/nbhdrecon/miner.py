@@ -17,15 +17,19 @@ stop at n = 8, so an edge mask fits a uint32 and a neighborhood one byte.
   packs them into one uint64 key per graph, the smallest mask most
   significant, so key order is fingerprint order; ``_chunk_keys`` ORs one
   table of rows per sweep with each chunk's high bits.
-* ``_collision_candidates`` hashes each key once to 32 bits and sorts the
-  hashes; the keys whose hash's top bits match a repeated hash's are the
-  candidates, a superset of the repeated keys.
-* ``collision_arrays`` argsorts only the candidates and keeps each run of
-  two or more equal keys: the members' edge masks in group order, offsets,
-  and each group's fingerprint as one uint8 row of ``fields``.
+* The sweep keeps no key per graph: each chunk's keys are hashed to 32 bits
+  at once (``_hashes``), and only the hashes are stored.
+* ``_collision_candidates`` sorts a copy of the hashes; the graphs whose
+  hash's top bits match a repeated hash's are the candidates, a superset of
+  the graphs whose key repeats.
+* ``collision_arrays`` recomputes the keys of the candidates alone from
+  their edge masks, sorts them and keeps each run of two or more equal keys:
+  the members' edge masks in group order, offsets, and each group's
+  fingerprint as one uint8 row of ``fields``.
 * ``graph6_strings`` writes graph6 straight from edge masks.
 * ``pair_checks`` makes every structural check on many closed-multiset
   pairs at once; ``_induced_c4`` is its induced-C4 flag.
+  ``verify_collisions`` runs it on slabs of ``_PAIR_SLAB`` pairs.
 
 The per-graph functions are the definition oracles of these kernels, kept
 in plain Python for auditability and checked against them in the test
@@ -55,13 +59,17 @@ from .graphs import Graph, VertexSet, contains_induced_c4
 #: Sweeps are free up to here; larger sizes must be requested explicitly.
 DEFAULT_ENUMERATION_CEILING = 6
 
-#: Hard ceiling: 2^(n choose 2) graphs; n=8 is already 268M graphs and is
-#: documented as an hours-and-gigabytes run.
+#: Hard ceiling: 2^(n choose 2) graphs; n=8 is already 268M graphs, about a
+#: minute and 2.4 GiB a sweep (README, "Scale and limits").
 MAX_ENUMERATION_SIZE = 8
 
 KINDS = ("closed-multiset", "closed-support", "open-multiset")
 
 _CHUNK_BITS = 16  # 2^16 edge masks a chunk: its rows and keys stay in cache
+
+#: ``verify_collisions`` checks pairs in slabs of this many, so its pair
+#: arrays stay a few MiB at any n.
+_PAIR_SLAB = 1 << 14
 
 #: Multiplier of the candidate hash: the odd integer nearest 2^64 over the
 #: golden ratio.
@@ -177,22 +185,34 @@ def _chunk_keys(n: int, kind: str, table: np.ndarray, chunk: int) -> np.ndarray:
     return _keys_from_rows(n, kind, table | high)
 
 
-def _collision_candidates(keys: np.ndarray, bits: int) -> np.ndarray:
-    """Ascending indices of the repeated keys and of the few others whose
-    hash's top ``bits`` bits equal a repeated key's.
+def _hashes(keys: np.ndarray) -> np.ndarray:
+    """The uint32 hash of each uint64 key, the high half of ``key * _HASH_MIX``
+    mod 2^64; overwrites ``keys``."""
+    keys *= np.uint64(_HASH_MIX)
+    keys >>= np.uint64(32)
+    return keys.astype(np.uint32)
 
-    The hash is the high half of ``key * _HASH_MIX`` mod 2^64, one uint32 per
-    key.  Equal keys have equal hashes, so sorting the hashes, at half the
-    width of the keys, finds every repeated key's hash.
+
+def _collision_candidates(hashes: np.ndarray, bits: int) -> np.ndarray:
+    """Ascending edge masks (uint32) of the graphs whose hash, one uint32 per
+    graph in edge-mask order, repeats, and of the few others whose hash's
+    top ``bits`` bits equal a repeated hash's.
+
+    Equal keys have equal hashes, so the candidates hold every repeated key.
+    The slots are read one chunk of graphs at a time, so no temporary as
+    wide as ``hashes`` is made besides its sorted copy.
     """
-    hashes = keys * np.uint64(_HASH_MIX)
-    hashes >>= np.uint64(32)
-    hashes = hashes.astype(np.uint32)
     ordered = np.sort(hashes)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    del ordered
     shift = np.uint32(32 - bits)
     marked = np.zeros(1 << bits, dtype=bool)
-    marked[ordered[1:][ordered[1:] == ordered[:-1]] >> shift] = True
-    return np.flatnonzero(marked[hashes >> shift])
+    marked[repeated >> shift] = True
+    del repeated
+    width = 1 << _CHUNK_BITS
+    return np.concatenate([
+        (start + np.flatnonzero(marked[hashes[start:start + width] >> shift])).astype(np.uint32)
+        for start in range(0, len(hashes), width)])
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -246,8 +266,11 @@ def collision_arrays(n: int, kind: str = "closed-multiset",
                      allow_large: bool = False, jobs: int = 1) -> CollisionArrays:
     """All collision groups of the chosen invariant at size ``n``, as arrays.
 
-    ``jobs`` spreads the key pass, in chunks of 2^16 edge masks, over worker
-    threads, never more than there are chunks or CPUs.
+    The key pass keeps one uint32 hash per graph, and the candidates' keys
+    are computed a second time; at n = 8 the hashes and their sorted copy
+    (1 GiB each) are most of the peak.  ``jobs`` spreads the key pass, in
+    chunks of 2^16 edge masks, over worker threads, never more than there
+    are chunks or CPUs.
     """
     total = _check_size(n, allow_large)
     if kind not in KINDS:
@@ -255,12 +278,12 @@ def collision_arrays(n: int, kind: str = "closed-multiset",
     if jobs < 1:
         raise InputError(f"jobs must be positive, got {jobs}")
     bits = min(_CHUNK_BITS, n * (n - 1) // 2)
-    table = _neighborhood_rows(n, np.arange(1 << bits, dtype=np.uint32),
-                               closed=kind != "open-multiset")
-    keys = np.empty(total, dtype=np.uint64)
+    closed = kind != "open-multiset"
+    table = _neighborhood_rows(n, np.arange(1 << bits, dtype=np.uint32), closed)
+    hashes = np.empty(total, dtype=np.uint32)
 
     def fill(chunk: int) -> None:
-        keys[chunk << bits:(chunk + 1) << bits] = _chunk_keys(n, kind, table, chunk)
+        hashes[chunk << bits:(chunk + 1) << bits] = _hashes(_chunk_keys(n, kind, table, chunk))
 
     chunks = range(total >> bits)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
@@ -270,22 +293,28 @@ def collision_arrays(n: int, kind: str = "closed-multiset",
     else:
         list(map(fill, chunks))
 
-    # The candidates hold every repeated key and ascend by edge mask, so the
-    # stable argsort keeps members in edge-mask order and groups in fingerprint
-    # order; a graph is in a group exactly when its key equals a neighbour's.
-    order = _collision_candidates(keys, n * (n - 1) // 2)
-    order = order[np.argsort(keys[order], kind="stable")]
+    # Only the candidates' keys are recomputed.  A graph is in a group exactly
+    # when its key equals a neighbour's in key order, and keys ascend in
+    # fingerprint order; one sort of (group, edge mask) then puts the members
+    # of each group in edge-mask order.
+    candidates = _collision_candidates(hashes, n * (n - 1) // 2)
+    del hashes  # one uint32 per graph: 1 GiB at n = 8
+    keys = _keys_from_rows(n, kind, _neighborhood_rows(n, candidates, closed))
+    order = np.argsort(keys)
     keys = keys[order]
     same = keys[1:] == keys[:-1]
     grouped = np.zeros(len(keys), dtype=bool)
     grouped[1:] = same
     grouped[:-1] |= same
-    edge_masks = order[grouped].astype(np.uint32)
+    members = candidates[order[grouped]]
     keys = keys[grouped]
-    del order, same, grouped  # at n = 8 each holds millions of entries
+    del candidates, order, same, grouped  # at n = 8 each holds millions of entries
     opens = np.ones(len(keys), dtype=bool)
     opens[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(opens)
+    packed = (np.cumsum(opens, dtype=np.uint64) << np.uint64(32)) | members
+    packed.sort()
+    edge_masks = packed.astype(np.uint32)  # the low half: the edge mask
 
     shifts = n * np.arange(n - 1, -1, -1, dtype=np.uint64)
     fields = (keys[starts, None] >> shifts).astype(np.uint8) & np.uint8((1 << n) - 1)
@@ -598,19 +627,23 @@ def verify_collisions(n: int, allow_large: bool = False) -> CollisionAuditReport
     total = _check_size(n, allow_large)
     groups = collision_arrays(n, "closed-multiset", allow_large=allow_large)
     g, h = groups.all_pairs()
-    checks = pair_checks(n, g, h)
-    failing = np.flatnonzero(~checks.all_ok())
-    if len(failing):
-        i = failing[0]
-        pair = f"{Graph.from_edge_mask(n, int(g[i]))!r} / {Graph.from_edge_mask(n, int(h[i]))!r}"
-        if not checks.has_witness[i]:
-            raise VerificationError(f"no matching permutation for pair {pair}")
-        if not checks.equal_edge_count[i]:
-            raise VerificationError(f"edge counts differ: {pair}")
-        if not checks.orbits_are_cliques[i]:
-            raise VerificationError(f"orbit not a clique: {pair}")
-        if not checks.edge_transit[i]:
-            raise VerificationError(f"edge transit fails: {pair}")
-        raise VerificationError(f"collision pair without induced C4: {pair}")
-    return CollisionAuditReport(n, total, len(groups.offsets) - 1, len(g),
-                                int(checks.orbit_counts.sum()))
+    orbits = 0
+    for start in range(0, len(g), _PAIR_SLAB):
+        g_slab, h_slab = g[start:start + _PAIR_SLAB], h[start:start + _PAIR_SLAB]
+        checks = pair_checks(n, g_slab, h_slab)
+        failing = np.flatnonzero(~checks.all_ok())
+        if len(failing):
+            i = failing[0]
+            pair = (f"{Graph.from_edge_mask(n, int(g_slab[i]))!r} / "
+                    f"{Graph.from_edge_mask(n, int(h_slab[i]))!r}")
+            if not checks.has_witness[i]:
+                raise VerificationError(f"no matching permutation for pair {pair}")
+            if not checks.equal_edge_count[i]:
+                raise VerificationError(f"edge counts differ: {pair}")
+            if not checks.orbits_are_cliques[i]:
+                raise VerificationError(f"orbit not a clique: {pair}")
+            if not checks.edge_transit[i]:
+                raise VerificationError(f"edge transit fails: {pair}")
+            raise VerificationError(f"collision pair without induced C4: {pair}")
+        orbits += int(checks.orbit_counts.sum())
+    return CollisionAuditReport(n, total, len(groups.offsets) - 1, len(g), orbits)

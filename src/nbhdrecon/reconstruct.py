@@ -267,6 +267,7 @@ def _realize(n: int, entries, cap: int) -> tuple[list[tuple[int, ...]], int]:
         return False
 
     walk(tuple(range(n)), inc)
+    del walk  # it holds itself through its closure cell: a cycle per call
     return found, nodes
 
 

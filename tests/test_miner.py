@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -171,7 +172,7 @@ class TestFindCollisions:
         real = miner._collision_candidates
         default = [miner.collision_arrays(n, kind) for n in range(1, 7)]
         monkeypatch.setattr(miner, "_collision_candidates",
-                            lambda keys, bits: real(keys, 0))
+                            lambda hashes, bits: real(hashes, 0))
         for n, want in enumerate(default, 1):
             got = miner.collision_arrays(n, kind)
             assert_same_arrays(got, want)
@@ -184,7 +185,7 @@ class TestFindCollisions:
         default = [miner.collision_arrays(n, kind) for n in range(1, 7)]
         monkeypatch.setattr(miner, "_HASH_MIX", 0)
         keys = np.array([5, 9, 5, 7], dtype=np.uint64)
-        assert miner._collision_candidates(keys, 2).tolist() == [0, 1, 2, 3]
+        assert miner._collision_candidates(miner._hashes(keys), 2).tolist() == [0, 1, 2, 3]
         for n, want in enumerate(default, 1):
             assert_same_arrays(miner.collision_arrays(n, kind), want)
 
@@ -192,12 +193,43 @@ class TestFindCollisions:
     def test_candidates_hold_every_repeated_key(self, n):
         keys = miner._keys_from_rows(n, "closed-multiset", miner._neighborhood_rows(
             n, all_edge_masks(n), closed=True))
-        candidates = miner._collision_candidates(keys, n * (n - 1) // 2)
+        candidates = miner._collision_candidates(miner._hashes(keys.copy()), n * (n - 1) // 2)
         counts = Counter(keys.tolist())
         repeated = [i for i, key in enumerate(keys.tolist()) if counts[key] > 1]
         assert set(repeated) <= set(candidates.tolist())
         assert candidates.tolist() == sorted(set(candidates.tolist()))
         assert len(candidates) < len(keys)
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_recomputed_candidate_keys_equal_chunk_keys(self, monkeypatch, n, kind):
+        # candidates are gathered one chunk at a time, many chunks here; their
+        # keys, recomputed from their edge masks, are the sweep's keys there
+        monkeypatch.setattr(miner, "_CHUNK_BITS", 2)
+        edge_bits = n * (n - 1) // 2
+        bits = min(2, edge_bits)
+        table = row_keys_input(n, kind, 0, 1 << bits)
+        keys = np.concatenate([miner._chunk_keys(n, kind, table, c)
+                               for c in range(1 << (edge_bits - bits))])
+        hashes = miner._hashes(keys.copy())
+        candidates = miner._collision_candidates(hashes, edge_bits)
+        shift = np.uint32(32 - edge_bits)
+        repeated = [h for h, count in Counter(hashes.tolist()).items() if count > 1]
+        marked = np.isin(hashes >> shift, np.array(repeated, dtype=np.uint32) >> shift)
+        assert candidates.tolist() == np.flatnonzero(marked).tolist()
+        recomputed = miner._keys_from_rows(n, kind, miner._neighborhood_rows(
+            n, candidates, closed=kind != "open-multiset"))
+        assert recomputed.tolist() == keys[candidates].tolist()
+
+    def test_sweep_holds_no_key_per_graph(self):
+        # one uint32 hash and its sorted copy per graph, not a uint64 key
+        tracemalloc.start()
+        try:
+            miner.collision_arrays(7, "closed-support", allow_large=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 << 21
 
 
 class TestWitnessPermutation:
@@ -285,6 +317,13 @@ class TestVerify:
         assert report.graphs_swept == 1 << (n * (n - 1) // 2)
         if n >= 4:
             assert report.pairs_checked > 0
+
+    @pytest.mark.parametrize("slab", [1, 7])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_pair_slabs_change_nothing(self, monkeypatch, n, slab):
+        want = verify_collisions(n)
+        monkeypatch.setattr(miner, "_PAIR_SLAB", slab)
+        assert verify_collisions(n) == want
 
     def test_no_collisions_below_four_vertices(self):
         assert verify_collisions(2).pairs_checked == 0
@@ -557,6 +596,25 @@ class TestVerifyErrors:
         with pytest.raises(VerificationError) as exc:
             verify_collisions(5)
         assert str(exc.value) == f"{self.MESSAGES[first]} {g!r} / {h!r}"
+
+    @pytest.mark.parametrize("slab", [1, 7, 1 << 14])
+    def test_doctored_pair_named_across_slabs(self, monkeypatch, slab):
+        # the doctored pair is picked by its edge masks, so it is the same
+        # pair whichever slab holds it
+        pairs = oracle_collision_pairs(5)
+        g, h = pairs[40]
+        real = miner.pair_checks
+
+        def doctored(n, gs, hs):
+            got = real(n, gs, hs)
+            hit = (gs == edge_mask(g)) & (hs == edge_mask(h))
+            return dataclasses.replace(got, edge_transit=got.edge_transit & ~hit)
+
+        monkeypatch.setattr(miner, "pair_checks", doctored)
+        monkeypatch.setattr(miner, "_PAIR_SLAB", slab)
+        with pytest.raises(VerificationError) as exc:
+            verify_collisions(5)
+        assert str(exc.value) == f"edge transit fails: {g!r} / {h!r}"
 
 
 def edge_mask(g):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import time
@@ -678,6 +679,22 @@ class TestResultContract:
             neighborhood_multiset(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])), "all", 8)
         with pytest.raises(InputError):
             _ = ambiguous.graph
+
+    @pytest.mark.parametrize("reconstruct,invariant", [
+        (from_multiset, neighborhood_multiset),
+        (from_support, closed_support),
+        (from_digital_convexity, digital_convexity),
+    ])
+    def test_call_leaves_no_reference_cycle(self, reconstruct, invariant):
+        inv = invariant(WORKED_EXAMPLE)
+        reconstruct(inv)
+        gc.disable()
+        try:
+            gc.collect()
+            reconstruct(inv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_stats_populated(self):
         result = from_support(closed_support(WORKED_EXAMPLE), "all", 4)
