@@ -34,7 +34,7 @@ from .formats import (
     to_graph6,
 )
 from .graphs import VertexSet, mask_members
-from .miner import KINDS, collision_arrays, pair_checks, verify_collisions
+from .miner import KINDS, collision_arrays, first_pair_checks, verify_collisions
 from .reconstruct import (
     DEFAULT_SOLUTION_LIMIT,
     ReconstructionResult,
@@ -161,8 +161,7 @@ def cmd_mine(args) -> int:
     :func:`~nbhdrecon.formats.collision_json_blocks`; each line equals
     ``dumps_canonical`` of the group's record."""
     groups = collision_arrays(args.n, args.kind, allow_large=args.deep, jobs=args.jobs)
-    first = (pair_checks(groups.n, *groups.first_pairs())
-             if groups.kind == "closed-multiset" else None)
+    first = first_pair_checks(groups) if groups.kind == "closed-multiset" else None
     for block in collision_json_blocks(groups, first):
         sys.stdout.write(block)
     return EXIT_OK

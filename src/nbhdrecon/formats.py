@@ -240,12 +240,12 @@ def collision_json_blocks(groups: CollisionArrays,
     Line i is ``dumps_canonical`` of group i's record with its keys in sorted
     order: ``fingerprint``, ``graphs`` (graph6 of the members), ``kind`` and
     ``n``, and for a closed multiset ``checks`` and ``witness`` from
-    ``first``, the :func:`~nbhdrecon.miner.pair_checks` of
-    ``groups.first_pairs()``.  A block is one join over a table of pieces,
-    indexed by an int array built with numpy: per group its head (the
-    checks), one member text per field, the ``"graphs"`` separator, each
-    member's graph6, the first bare and the others after ``","``, and its
-    tail (the witness).  No Python object is built per group.
+    ``first``, the :func:`~nbhdrecon.miner.first_pair_checks` of ``groups``.
+    A block is one join over a table of pieces, indexed by an int array built
+    with numpy: per group its head (the checks), one member text per field,
+    the ``"graphs"`` separator, each member's graph6, the first bare and the
+    others after ``","``, and its tail (the witness).  No Python object is
+    built per group.
     """
     n = groups.n
     # Mask m prints as member text m, or 2^n + m after a comma.  A zero field

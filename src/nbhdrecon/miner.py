@@ -13,23 +13,28 @@ stop at n = 8, so an edge mask fits a uint32 and a neighborhood one byte.
 
 * ``_neighborhood_rows`` turns edge masks into an (n, N) uint8 array whose
   row v holds every graph's closed or open neighborhood of v.
-* ``_keys_from_rows`` sorts those rows with a compare-exchange network and
-  packs them into one uint64 key per graph, the smallest mask most
-  significant, so key order is fingerprint order; ``_chunk_keys`` ORs one
-  table of rows per sweep with each chunk's high bits.
-* The sweep keeps no key per graph: each chunk's keys are hashed to 32 bits
-  at once (``_hashes``), and only the hashes are stored.
+* ``_canonical_rows`` sorts those rows in place with a compare-exchange
+  network (minimum-comparator for 6 to 8 rows) into each graph's
+  fingerprint masks; ``_keys_from_rows`` packs them into one uint64 key per
+  graph, the smallest mask most significant, so key order is fingerprint
+  order.
+* The sweep keeps no key per graph.  ``_chunk_hashes`` ORs one table of rows
+  per sweep with each chunk's high bits, taken from plain ints, and
+  ``_row_hashes`` hashes the sorted rows straight to one uint32 per graph:
+  each row times its own odd multiplier, summed mod 2^32, then a finalizer.
+  Only the hashes are stored.
 * ``_collision_candidates`` sorts a copy of the hashes; the graphs whose
   hash's top bits match a repeated hash's are the candidates, a superset of
   the graphs whose key repeats.
-* ``collision_arrays`` recomputes the keys of the candidates alone from
+* ``collision_arrays`` computes the keys of the candidates alone from
   their edge masks, sorts them and keeps each run of two or more equal keys:
   the members' edge masks in group order, offsets, and each group's
   fingerprint as one uint8 row of ``fields``.
 * ``graph6_strings`` writes graph6 straight from edge masks.
 * ``pair_checks`` makes every structural check on many closed-multiset
   pairs at once; ``_induced_c4`` is its induced-C4 flag.
-  ``verify_collisions`` runs it on slabs of ``_PAIR_SLAB`` pairs.
+  ``verify_collisions`` and ``first_pair_checks`` (for ``mine``) run it on
+  slabs of ``_PAIR_SLAB`` pairs.
 
 The per-graph functions are the definition oracles of these kernels, kept
 in plain Python for auditability and checked against them in the test
@@ -47,7 +52,8 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -59,21 +65,37 @@ from .graphs import Graph, VertexSet, contains_induced_c4
 #: Sweeps are free up to here; larger sizes must be requested explicitly.
 DEFAULT_ENUMERATION_CEILING = 6
 
-#: Hard ceiling: 2^(n choose 2) graphs; n=8 is already 268M graphs, about a
-#: minute and 2.4 GiB a sweep (README, "Scale and limits").
+#: Hard ceiling: 2^(n choose 2) graphs; n=8 is already 268M graphs, about
+#: half a minute and 2.4 GiB a sweep (README, "Scale and limits").
 MAX_ENUMERATION_SIZE = 8
 
 KINDS = ("closed-multiset", "closed-support", "open-multiset")
 
-_CHUNK_BITS = 16  # 2^16 edge masks a chunk: its rows and keys stay in cache
+_CHUNK_BITS = 16  # 2^16 edge masks a chunk: its rows and hashes stay in cache
 
 #: ``verify_collisions`` checks pairs in slabs of this many, so its pair
 #: arrays stay a few MiB at any n.
 _PAIR_SLAB = 1 << 14
 
-#: Multiplier of the candidate hash: the odd integer nearest 2^64 over the
-#: golden ratio.
-_HASH_MIX = 0x9E3779B97F4A7C15
+#: Minimum-comparator sorting networks for 6, 7 and 8 rows, of 12, 16 and
+#: 19 compare-exchanges (Knuth, TAOCP vol. 3, section 5.3.4); the insertion
+#: network needs 15, 21 and 28.
+_NETWORKS = {
+    6: [(0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3),
+        (4, 5), (1, 2), (3, 4)],
+    7: [(0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5), (3, 4),
+        (1, 2), (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6)],
+    8: [(0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 1),
+        (2, 3), (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4),
+        (5, 6)],
+}
+
+#: Multipliers of the row hash, one odd constant per sorted neighborhood row,
+#: and of its finalizer: the primes of xxHash32 and the multipliers of
+#: MurmurHash3 (its 0xE6546B64 made odd).
+_ROW_MIX = tuple(map(np.uint32, (0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D, 0x27D4EB2F,
+                                 0x165667B1, 0xCC9E2D51, 0x1B873593, 0xE6546B65)))
+_HASH_FINAL = np.uint32(0x85EBCA6B)
 
 
 def _check_size(n: int, allow_large: bool) -> int:
@@ -144,26 +166,22 @@ def _neighborhood_rows(n: int, edge_masks: np.ndarray, closed: bool) -> np.ndarr
 
 
 def _sort_rows(rows: np.ndarray) -> None:
-    """Sort every column of ``rows`` in place with a fixed insertion network
-    of compare-exchanges between whole rows."""
-    for i in range(1, len(rows)):
-        for j in range(i, 0, -1):
-            low = np.minimum(rows[j - 1], rows[j])
-            np.maximum(rows[j - 1], rows[j], out=rows[j])
-            rows[j - 1] = low
+    """Sort every column of ``rows`` in place with a fixed network of
+    compare-exchanges between whole rows: a minimum-comparator network for
+    6, 7 or 8 rows, the insertion network for fewer."""
+    k = len(rows)
+    network = _NETWORKS.get(k) or [(j - 1, j) for i in range(1, k) for j in range(i, 0, -1)]
+    for a, b in network:
+        low = np.minimum(rows[a], rows[b])
+        np.maximum(rows[a], rows[b], out=rows[b])
+        rows[a] = low
 
 
-def _keys_from_rows(n: int, kind: str, rows: np.ndarray) -> np.ndarray:
-    """One packed uint64 invariant key per column of ``rows``, a graph's closed
-    (or, for ``open-multiset``, open) neighborhoods; sorts ``rows`` in place.
-
-    Each graph's neighborhood masks are sorted and mask i goes to bits
-    n*(n-1-i) and up, the smallest mask most significant, so n masks of n
-    bits fill at most 64 bits.  For the support, repeated masks are zeroed
-    and sorted to the back (closed masks are never zero), so a support that
-    is a proper prefix of another sorts first.  Key order is therefore the
-    tuple order of :func:`invariant_fingerprint`.
-    """
+def _canonical_rows(n: int, kind: str, rows: np.ndarray) -> np.ndarray:
+    """Sort ``rows``, a graph's closed (or, for ``open-multiset``, open)
+    neighborhoods per column, in place into its fingerprint's masks, and
+    return it: ascending, and for the support with each repeated mask zeroed
+    and moved to the back (closed masks are never zero)."""
     _sort_rows(rows)
     if kind == "closed-support":
         for i in range(n - 1, 0, -1):
@@ -171,26 +189,61 @@ def _keys_from_rows(n: int, kind: str, rows: np.ndarray) -> np.ndarray:
         rows -= 1  # a zeroed repeat wraps to 255 and sorts last
         _sort_rows(rows)
         rows += 1
+    return rows
+
+
+def _keys_from_rows(n: int, kind: str, rows: np.ndarray) -> np.ndarray:
+    """One packed uint64 invariant key per column of ``rows``; sorts ``rows``
+    in place by :func:`_canonical_rows`.
+
+    Mask i of the fingerprint goes to bits n*(n-1-i) and up, the smallest
+    mask most significant, so n masks of n bits fill at most 64 bits.  A
+    support that is a proper prefix of another has the smaller key, as its
+    padding zeros sit at the back.  Key order is therefore the tuple order of
+    :func:`invariant_fingerprint`.
+    """
+    _canonical_rows(n, kind, rows)
     keys = np.zeros(rows.shape[1], dtype=np.uint64)
     for i in range(n):
         keys |= rows[i].astype(np.uint64) << (n * (n - 1 - i))
     return keys
 
 
-def _chunk_keys(n: int, kind: str, table: np.ndarray, chunk: int) -> np.ndarray:
-    """Keys of the edge masks chunk*W .. chunk*W + W-1, ``table`` being the
-    (n, W) rows of 0 .. W-1: W is a power of two, so the chunk's masks share
-    their high bits, which add the same neighbors to every column."""
-    high = _neighborhood_rows(n, np.array([chunk * table.shape[1]], dtype=np.uint32), False)
-    return _keys_from_rows(n, kind, table | high)
+def _row_hashes(rows: np.ndarray, out: np.ndarray) -> None:
+    """Write into the uint32 array ``out`` one hash per column of ``rows``,
+    the output of :func:`_canonical_rows`: row i times ``_ROW_MIX[i]``,
+    summed mod 2^32, then one xorshift and a multiply by ``_HASH_FINAL``,
+    which bring every bit into the top bits that the candidates read (a
+    multiply first would only scale the row multipliers).
+
+    Equal fingerprints have equal columns, so equal hashes.  The products
+    are taken in uint32 and every scalar is an ``np.uint32``, so no
+    promotion rule widens the result.  The hashes go straight into ``out``,
+    a slice of the sweep's array: a chunk's one temporary as wide as its
+    hashes is a single term.
+    """
+    term = np.empty_like(out)
+    np.multiply(rows[0], _ROW_MIX[0], out=out, dtype=np.uint32)
+    for row, mix in zip(rows[1:], _ROW_MIX[1:]):
+        np.multiply(row, mix, out=term, dtype=np.uint32)
+        out += term
+    np.right_shift(out, np.uint32(16), out=term)
+    out ^= term
+    out *= _HASH_FINAL
 
 
-def _hashes(keys: np.ndarray) -> np.ndarray:
-    """The uint32 hash of each uint64 key, the high half of ``key * _HASH_MIX``
-    mod 2^64; overwrites ``keys``."""
-    keys *= np.uint64(_HASH_MIX)
-    keys >>= np.uint64(32)
-    return keys.astype(np.uint32)
+def _chunk_hashes(n: int, kind: str, table: np.ndarray, chunk: int, out: np.ndarray) -> None:
+    """Row hashes of the edge masks chunk*W .. chunk*W + W-1 into ``out``,
+    ``table`` being the (n, W) rows of 0 .. W-1: W is a power of two, so the
+    chunk's masks share their high bits, which add the same neighbors to
+    every column."""
+    first = chunk * table.shape[1]
+    high = [0] * n
+    for k, (u, v) in enumerate(_edge_pairs(n)):
+        if first >> k & 1:
+            high[u] |= 1 << v
+            high[v] |= 1 << u
+    _row_hashes(_canonical_rows(n, kind, table | np.array(high, dtype=np.uint8)[:, None]), out)
 
 
 def _collision_candidates(hashes: np.ndarray, bits: int) -> np.ndarray:
@@ -266,8 +319,8 @@ def collision_arrays(n: int, kind: str = "closed-multiset",
                      allow_large: bool = False, jobs: int = 1) -> CollisionArrays:
     """All collision groups of the chosen invariant at size ``n``, as arrays.
 
-    The key pass keeps one uint32 hash per graph, and the candidates' keys
-    are computed a second time; at n = 8 the hashes and their sorted copy
+    The key pass keeps one uint32 hash per graph, and only the candidates
+    get their uint64 keys; at n = 8 the hashes and their sorted copy
     (1 GiB each) are most of the peak.  ``jobs`` spreads the key pass, in
     chunks of 2^16 edge masks, over worker threads, never more than there
     are chunks or CPUs.
@@ -283,7 +336,7 @@ def collision_arrays(n: int, kind: str = "closed-multiset",
     hashes = np.empty(total, dtype=np.uint32)
 
     def fill(chunk: int) -> None:
-        hashes[chunk << bits:(chunk + 1) << bits] = _hashes(_chunk_keys(n, kind, table, chunk))
+        _chunk_hashes(n, kind, table, chunk, hashes[chunk << bits:(chunk + 1) << bits])
 
     chunks = range(total >> bits)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
@@ -293,7 +346,7 @@ def collision_arrays(n: int, kind: str = "closed-multiset",
     else:
         list(map(fill, chunks))
 
-    # Only the candidates' keys are recomputed.  A graph is in a group exactly
+    # Only the candidates get keys.  A graph is in a group exactly
     # when its key equals a neighbour's in key order, and keys ascend in
     # fingerprint order; one sort of (group, edge mask) then puts the members
     # of each group in edge-mask order.
@@ -482,9 +535,11 @@ def check_collision_pair(g: Graph, h: Graph) -> PairChecks:
     return PairChecks(w, equal_edges, orbits_ok, transit_ok, c4)
 
 
-def _c4_patterns(n: int) -> list[tuple[int, int]]:
+@cache
+def _c4_patterns(n: int) -> tuple[tuple[int, int], ...]:
     """(pairs, cycle) edge masks, one per 4-cycle on four of the n vertices:
-    ``pairs`` holds all six pairs of the four, ``cycle`` its four edges."""
+    ``pairs`` holds all six pairs of the four, ``cycle`` its four edges.
+    Built once per size: ``pair_checks`` reads them on every slab."""
     index = {pair: k for k, pair in enumerate(_edge_pairs(n))}
 
     def edges(*pairs):
@@ -495,7 +550,7 @@ def _c4_patterns(n: int) -> list[tuple[int, int]]:
         for w, x, y, z in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
             cycle = edges((w, x), (x, y), (y, z), (z, w))
             out.append((cycle | edges((w, y), (x, z)), cycle))
-    return out
+    return tuple(out)
 
 
 def _edge_counts(edge_masks: np.ndarray) -> np.ndarray:
@@ -520,6 +575,8 @@ class PairArrays:
     ``sigma[i]`` is the least witness and ``orbit_counts[i]`` its number of
     orbits where ``has_witness[i]``; elsewhere they carry no meaning, and
     the orbit and transit flags read true, as in :func:`check_collision_pair`.
+    ``sigma`` is uint8, so the joined checks that ``mine`` holds for every
+    group take n bytes a group for the witnesses.
     """
 
     sigma: np.ndarray
@@ -593,7 +650,7 @@ def pair_checks(n: int, g: np.ndarray, h: np.ndarray) -> PairArrays:
     cliques = (((ng & orbit) == orbit) & ((nh & orbit) == orbit)).all(axis=0)
     transit = (ng == np.take_along_axis(nh, sigma, axis=0)).all(axis=0)
     return PairArrays(
-        sigma=sigma.T,
+        sigma=sigma.T.astype(np.uint8),
         has_witness=has_witness,
         orbit_counts=np.where(has_witness, orbit_counts, 0),
         equal_edge_count=_edge_counts(g) == _edge_counts(h),
@@ -601,6 +658,24 @@ def pair_checks(n: int, g: np.ndarray, h: np.ndarray) -> PairArrays:
         edge_transit=transit | ~has_witness,
         both_contain_c4=_induced_c4(n, g) & _induced_c4(n, h),
     )
+
+
+def _pair_slabs(n: int, g: np.ndarray,
+                h: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, PairArrays]]:
+    """:func:`pair_checks` on slabs of ``_PAIR_SLAB`` of the pairs (g[i], h[i]),
+    in order: each slab's edge masks and checks.  No pairs make one empty
+    slab, so a join of the slabs keeps its shapes."""
+    for start in range(0, max(len(g), 1), _PAIR_SLAB):
+        g_slab, h_slab = g[start:start + _PAIR_SLAB], h[start:start + _PAIR_SLAB]
+        yield g_slab, h_slab, pair_checks(n, g_slab, h_slab)
+
+
+def first_pair_checks(groups: CollisionArrays) -> PairArrays:
+    """:func:`pair_checks` on each group's first two members, run in slabs
+    and joined, so that only the results are held for every group."""
+    slabs = [checks for _, _, checks in _pair_slabs(groups.n, *groups.first_pairs())]
+    return PairArrays(**{f.name: np.concatenate([getattr(checks, f.name) for checks in slabs])
+                         for f in fields(PairArrays)})
 
 
 @dataclass(frozen=True, slots=True)
@@ -628,9 +703,7 @@ def verify_collisions(n: int, allow_large: bool = False) -> CollisionAuditReport
     groups = collision_arrays(n, "closed-multiset", allow_large=allow_large)
     g, h = groups.all_pairs()
     orbits = 0
-    for start in range(0, len(g), _PAIR_SLAB):
-        g_slab, h_slab = g[start:start + _PAIR_SLAB], h[start:start + _PAIR_SLAB]
-        checks = pair_checks(n, g_slab, h_slab)
+    for g_slab, h_slab, checks in _pair_slabs(n, g, h):
         failing = np.flatnonzero(~checks.all_ok())
         if len(failing):
             i = failing[0]

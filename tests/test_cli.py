@@ -222,6 +222,14 @@ class TestMineAndVerify:
         assert out == "".join(line + "\n" for line in oracle_mine_lines(n, kind))
         assert "\\\\" in out  # a graph6 backslash, escaped
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_mine_pair_slabs_change_nothing(self, capsys, monkeypatch, n):
+        # the first pairs are checked a slab at a time and the slabs joined
+        _, want, _ = run(capsys, "mine", "--n", str(n))
+        for slab in (1, 7):
+            monkeypatch.setattr(miner, "_PAIR_SLAB", slab)
+            assert run(capsys, "mine", "--n", str(n)) == (0, want, "")
+
     @pytest.mark.parametrize("kind", ["closed-multiset", "closed-support", "open-multiset"])
     def test_mine_n7_output_pinned(self, capsys, kind):
         digest, lines = MINE_N7_OUTPUT[kind]

@@ -180,20 +180,29 @@ class TestFindCollisions:
 
     @pytest.mark.parametrize("kind", miner.KINDS)
     def test_one_shared_hash_changes_nothing(self, monkeypatch, kind):
-        # a zero multiplier hashes every key to 0, so every key collides in
+        # zero multipliers hash every graph to 0, so every graph collides in
         # the hash and all graphs are candidates
         default = [miner.collision_arrays(n, kind) for n in range(1, 7)]
-        monkeypatch.setattr(miner, "_HASH_MIX", 0)
-        keys = np.array([5, 9, 5, 7], dtype=np.uint64)
-        assert miner._collision_candidates(miner._hashes(keys), 2).tolist() == [0, 1, 2, 3]
+        real = miner._collision_candidates
+        counts = []
+
+        def counting(hashes, bits):
+            candidates = real(hashes, bits)
+            counts.append(len(candidates))
+            return candidates
+
+        monkeypatch.setattr(miner, "_ROW_MIX", (np.uint32(0),) * 8)
+        monkeypatch.setattr(miner, "_collision_candidates", counting)
         for n, want in enumerate(default, 1):
             assert_same_arrays(miner.collision_arrays(n, kind), want)
+        # one graph at n = 1 has no hash to share
+        assert counts == [0] + [1 << (n * (n - 1) // 2) for n in range(2, 7)]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_candidates_hold_every_repeated_key(self, n):
-        keys = miner._keys_from_rows(n, "closed-multiset", miner._neighborhood_rows(
-            n, all_edge_masks(n), closed=True))
-        candidates = miner._collision_candidates(miner._hashes(keys.copy()), n * (n - 1) // 2)
+        rows = miner._neighborhood_rows(n, all_edge_masks(n), closed=True)
+        keys = miner._keys_from_rows(n, "closed-multiset", rows)
+        candidates = miner._collision_candidates(row_hashes(rows), n * (n - 1) // 2)
         counts = Counter(keys.tolist())
         repeated = [i for i, key in enumerate(keys.tolist()) if counts[key] > 1]
         assert set(repeated) <= set(candidates.tolist())
@@ -204,14 +213,13 @@ class TestFindCollisions:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_recomputed_candidate_keys_equal_chunk_keys(self, monkeypatch, n, kind):
         # candidates are gathered one chunk at a time, many chunks here; their
-        # keys, recomputed from their edge masks, are the sweep's keys there
+        # keys, recomputed from their edge masks, are the keys of the rows
+        # the sweep hashed there
         monkeypatch.setattr(miner, "_CHUNK_BITS", 2)
         edge_bits = n * (n - 1) // 2
         bits = min(2, edge_bits)
-        table = row_keys_input(n, kind, 0, 1 << bits)
-        keys = np.concatenate([miner._chunk_keys(n, kind, table, c)
-                               for c in range(1 << (edge_bits - bits))])
-        hashes = miner._hashes(keys.copy())
+        hashes = table_hashes(n, kind, bits, range(1 << (edge_bits - bits)))
+        keys = miner._keys_from_rows(n, kind, row_keys_input(n, kind, 0, 1 << edge_bits))
         candidates = miner._collision_candidates(hashes, edge_bits)
         shift = np.uint32(32 - edge_bits)
         repeated = [h for h, count in Counter(hashes.tolist()).items() if count > 1]
@@ -222,7 +230,8 @@ class TestFindCollisions:
         assert recomputed.tolist() == keys[candidates].tolist()
 
     def test_sweep_holds_no_key_per_graph(self):
-        # one uint32 hash and its sorted copy per graph, not a uint64 key
+        # one uint32 hash and its sorted copy per graph, not a uint64 key:
+        # 12 bytes a graph
         tracemalloc.start()
         try:
             miner.collision_arrays(7, "closed-support", allow_large=True)
@@ -360,6 +369,38 @@ def row_keys_input(n, kind, lo, hi):
                                     closed=kind != "open-multiset")
 
 
+def row_hashes(rows):
+    """:func:`miner._row_hashes` into a new array."""
+    out = np.empty(rows.shape[1], dtype=np.uint32)
+    miner._row_hashes(rows, out)
+    return out
+
+
+def table_hashes(n, kind, bits, chunks):
+    """The sweep's hashes of the given chunks of 2^bits edge masks, in order."""
+    table = row_keys_input(n, kind, 0, 1 << bits)
+    out = np.empty((len(chunks), 1 << bits), dtype=np.uint32)
+    for slot, c in zip(out, chunks):
+        miner._chunk_hashes(n, kind, table, c, slot)
+    return out.ravel()
+
+
+def reference_row_hash(fingerprint):
+    """:func:`miner._row_hashes` of one graph in plain Python, from its
+    padded fingerprint."""
+    h = sum(m * int(mix) for m, mix in zip(fingerprint, miner._ROW_MIX)) % (1 << 32)
+    h ^= h >> 16
+    return h * int(miner._HASH_FINAL) % (1 << 32)
+
+
+def assert_equal_keys_equal_hashes(keys, hashes):
+    """Keys are a function's arguments and hashes its values; some repeat."""
+    hash_of = {}
+    for key, h in zip(keys.tolist(), hashes.tolist()):
+        assert hash_of.setdefault(key, h) == h
+    assert len(hash_of) < len(keys)
+
+
 def all_edge_masks(n):
     return np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
 
@@ -414,11 +455,10 @@ class TestArrayKernels:
     def test_table_keys_equal_row_keys(self, n, kind):
         # one chunk, then chunks of half the edge bits: the high bits vary
         edge_bits = n * (n - 1) // 2
-        want = miner._keys_from_rows(n, kind, row_keys_input(n, kind, 0, 1 << edge_bits))
+        want = row_hashes(miner._canonical_rows(
+            n, kind, row_keys_input(n, kind, 0, 1 << edge_bits)))
         for bits in sorted({edge_bits, edge_bits // 2}):
-            table = row_keys_input(n, kind, 0, 1 << bits)
-            got = np.concatenate([miner._chunk_keys(n, kind, table, c)
-                                  for c in range(1 << (edge_bits - bits))])
+            got = table_hashes(n, kind, bits, range(1 << (edge_bits - bits)))
             assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("kind", miner.KINDS)
@@ -426,11 +466,64 @@ class TestArrayKernels:
     def test_table_keys_first_middle_last_chunk(self, n, kind):
         width = 1 << miner._CHUNK_BITS
         chunks = (1 << (n * (n - 1) // 2)) // width
-        table = row_keys_input(n, kind, 0, width)
         for c in (0, chunks // 2 + 1, chunks - 1):
-            want = miner._keys_from_rows(n, kind, row_keys_input(
-                n, kind, c * width, (c + 1) * width))
-            assert miner._chunk_keys(n, kind, table, c).tolist() == want.tolist()
+            want = row_hashes(miner._canonical_rows(n, kind, row_keys_input(
+                n, kind, c * width, (c + 1) * width)))
+            assert table_hashes(n, kind, miner._CHUNK_BITS, [c]).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_keys_equal_hashes_every_graph(self, n, kind):
+        edge_bits = n * (n - 1) // 2
+        keys = miner._keys_from_rows(n, kind, row_keys_input(n, kind, 0, 1 << edge_bits))
+        hashes = table_hashes(n, kind, edge_bits // 2, range(1 << (edge_bits - edge_bits // 2)))
+        if n >= 4:  # keys repeat from n = 4 on
+            assert_equal_keys_equal_hashes(keys, hashes)
+        assert len(set(hashes.tolist())) == len(set(keys.tolist()))  # no false collision
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_equal_keys_equal_hashes_chunk_slices(self, n, kind):
+        # first, middle and last chunk and one drawn by a seeded generator
+        width = 1 << miner._CHUNK_BITS
+        chunks = (1 << (n * (n - 1) // 2)) // width
+        picked = [0, chunks // 2 + 1, chunks - 1, random.Random(n).randrange(chunks)]
+        keys = np.concatenate([miner._keys_from_rows(n, kind, row_keys_input(
+            n, kind, c * width, (c + 1) * width)) for c in picked])
+        assert_equal_keys_equal_hashes(keys, table_hashes(n, kind, miner._CHUNK_BITS, picked))
+
+    @pytest.mark.parametrize("kind", miner.KINDS)
+    @pytest.mark.parametrize("n,seed", [(1, 1), (2, 2), (4, 4), (6, 6), (7, 7), (8, 8)])
+    def test_row_hash_against_reference(self, n, kind, seed):
+        ems = seeded_edge_masks(n, 300, seed)
+        got = row_hashes(miner._canonical_rows(n, kind, miner._neighborhood_rows(
+            n, ems, closed=kind != "open-multiset")))
+        want = []
+        for em in ems.tolist():
+            fp = invariant_fingerprint(Graph.from_edge_mask(n, em), kind)
+            want.append(reference_row_hash(fp + (0,) * (n - len(fp))))
+        assert got.tolist() == want
+
+    def test_row_hash_pinned(self):
+        assert all(type(mix) is np.uint32 for mix in miner._ROW_MIX + (miner._HASH_FINAL,))
+        # the empty graph and K8: closed multiset, then closed support
+        rows = miner._neighborhood_rows(8, np.array([0, (1 << 28) - 1], dtype=np.uint32), True)
+        support = rows.copy()
+        multiset = row_hashes(miner._canonical_rows(8, "closed-multiset", rows))
+        assert multiset.dtype == np.uint32
+        assert multiset.tolist() == [4244666841, 219858126] == \
+            [reference_row_hash([1 << v for v in range(8)]), reference_row_hash([255] * 8)]
+        assert row_hashes(miner._canonical_rows(8, "closed-support", support)).tolist() == \
+            [4244666841, 857997679] == [multiset[0], reference_row_hash([255] + [0] * 7)]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_sort_networks_sort_every_zero_one_input(self, k):
+        # a comparator network sorts every input if it sorts every 0-1 input
+        rows = ((np.arange(1 << k) >> np.arange(k)[:, None]) & 1).astype(np.uint8)
+        ones = rows.sum(axis=0)
+        miner._sort_rows(rows)
+        assert (rows == (np.arange(k)[:, None] >= k - ones)).all()
+        assert len(miner._NETWORKS.get(k, ())) == {6: 12, 7: 16, 8: 19}.get(k, 0)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_graph6_every_graph(self, n):
@@ -448,6 +541,7 @@ class TestArrayKernels:
     def test_c4_flag_every_graph(self, n):
         ems = all_edge_masks(n)
         flags = miner._induced_c4(n, ems).tolist()
+        assert miner._c4_patterns(n) is miner._c4_patterns(n)  # built once per size
         assert flags == [contains_induced_c4(Graph.from_edge_mask(n, em))
                          for em in ems.tolist()]
         assert any(flags) == (n >= 4)
@@ -457,6 +551,7 @@ class TestArrayKernels:
         g = np.array([edge_mask(a) for a, _ in pairs], dtype=np.uint32)
         h = np.array([edge_mask(b) for _, b in pairs], dtype=np.uint32)
         got = miner.pair_checks(n, g, h)
+        assert got.sigma.dtype == np.uint8
         notations = got.cycle_notations()
         for i, (a, b) in enumerate(pairs):
             ref = check_collision_pair(a, b)
