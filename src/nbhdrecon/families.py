@@ -36,6 +36,7 @@ UNION_CLOSURE_CEILING = 1 << 20
 #: numpy 2.0; the declared floor is 1.24).
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 _REVERSE8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+_BYTE_SUM = np.uint64(0x0101010101010101)
 
 
 def _canonical_order(masks: np.ndarray) -> np.ndarray:
@@ -46,10 +47,13 @@ def _canonical_order(masks: np.ndarray) -> np.ndarray:
     bits turns that element into the highest differing bit, so within a
     size the order is the reversed masks, descending.  Popcount and reversal
     go byte by byte through lookup tables; reversing the little-endian byte
-    order and the bits of each byte reverses the word.
+    order and the bits of each byte reverses the word.  The eight byte
+    popcounts, read back as one word, are summed by a single multiply: times
+    0x0101010101010101 the top byte collects every byte, and the sum, at
+    most 64, cannot carry out of it.
     """
     octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    size = _POPCOUNT8.take(octets).sum(axis=1)
+    size = _POPCOUNT8.take(octets).view("<u8").ravel() * _BYTE_SUM >> np.uint64(56)
     reversed_ = _REVERSE8.take(octets[:, ::-1]).view("<u8").ravel()
     return np.lexsort((~reversed_, size))
 
@@ -93,6 +97,9 @@ class SetFamily:
     Members are stored canonically ordered by (size, lexicographic members)
     so iteration and serialization are deterministic.  ``masks`` holds them
     as ints and ``mask_array`` as a read-only uint64 array, in that order.
+    Equal families have equal ``masks``, so equality and hashing read that
+    tuple.  The member set behind :meth:`contains_mask` and ``in`` is built
+    by ``__getattr__`` on its first read; later reads find it in its slot.
     """
 
     __slots__ = ("universe", "masks", "mask_array", "_mask_set")
@@ -107,7 +114,13 @@ class SetFamily:
         arr.flags.writeable = False
         self.mask_array = arr
         self.masks = tuple(arr.tolist())
+
+    def __getattr__(self, name: str):
+        # called only while a slot is unset: builds the member set once
+        if name != "_mask_set":
+            raise AttributeError(f"'SetFamily' object has no attribute {name!r}")
         self._mask_set = frozenset(self.masks)
+        return self._mask_set
 
     @property
     def members(self) -> tuple[VertexSet, ...]:
@@ -130,10 +143,10 @@ class SetFamily:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetFamily):
             return NotImplemented
-        return self.universe == other.universe and self._mask_set == other._mask_set
+        return self.universe == other.universe and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.universe, self._mask_set))
+        return hash((self.universe, self.masks))
 
     def __repr__(self) -> str:
         sets = ", ".join("{" + ",".join(map(str, mask_members(m))) + "}"
@@ -297,7 +310,11 @@ def or_zeta(table: np.ndarray, n: int) -> None:
 
 
 def member_lattice(masks: np.ndarray, n: int) -> np.ndarray:
-    """``table[X]`` = union of the members of ``masks`` contained in ``X``."""
+    """``table[X]`` = union of the members of ``masks`` contained in ``X``.
+
+    ``masks`` should be intp: numpy indexes with any other integer type
+    through a cast on a slower path.
+    """
     table = np.zeros(1 << n, dtype=np.uint32)
     table[masks] = masks
     or_zeta(table, n)
@@ -338,32 +355,35 @@ def irreducible_members(masks: Iterable[int], universe: int) -> list[int]:
             if below != m:
                 out.append(m)
         return out
-    arr = np.fromiter(distinct, dtype=np.uint32, count=len(distinct))
+    arr = np.fromiter(distinct, dtype=np.intp, count=len(distinct))
     return _lattice_irreducible(member_lattice(arr, universe), arr, universe).tolist()
 
 
 #: Cells (bits x members) in one slab of the gather in
-#: :func:`_lattice_irreducible`: 1 MB per uint32 temporary, whatever the
+#: :func:`_lattice_irreducible`: 1 MB per intp temporary, whatever the
 #: family's size.
-_IRREDUCIBLE_SLAB = 1 << 18
+_IRREDUCIBLE_SLAB = 1 << 17
 
 
 def _lattice_irreducible(table: np.ndarray, arr: np.ndarray, n: int) -> np.ndarray:
-    """The members in ``arr`` (distinct uint32 masks, ``table`` their member
-    lattice) that differ from the union of the members strictly below them.
+    """The members in ``arr`` (distinct masks, intp for the fast gather;
+    ``table`` their member lattice) that differ from the union of the
+    members strictly below them.
 
     One gather per slab of members reads ``table[m ^ bit]`` for every bit;
     the flip of a bit outside m reads m itself, so it is zeroed before the
     OR-reduction over the bits.
     """
-    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)[:, None]
+    bits = np.intp(1) << np.arange(n, dtype=np.intp)[:, None]
     block = max(1, _IRREDUCIBLE_SLAB // max(n, 1))
-    below = np.empty_like(arr)
+    below = np.empty(len(arr), dtype=np.uint32)
     for i0 in range(0, len(arr), block):
         rows = arr[i0:i0 + block]
         flips = rows & bits  # row b: bit b of each member
-        gathered = table[rows ^ flips]
-        gathered *= flips != 0
+        held = flips != 0
+        flips ^= rows  # now m ^ bit, or m where the bit is outside m
+        gathered = table[flips]
+        gathered *= held
         np.bitwise_or.reduce(gathered, axis=0, out=below[i0:i0 + block])
     return arr[below != arr]
 
@@ -428,7 +448,7 @@ def incidence_signatures(gen: SetFamily) -> dict[int, int]:
     return {v: int.from_bytes(row.tobytes(), "little") for v, row in zip(verts, rows)}
 
 
-def _base_vertices_from_signatures(sig: dict[int, int]) -> list[int]:
+def _base_vertices_from_signatures(sig: list[int]) -> list[int]:
     """Greedy removal pass over every vertex; survivors carry the union basis.
 
     Vertices are dropped from the highest id down, so the lowest id in each
@@ -438,8 +458,8 @@ def _base_vertices_from_signatures(sig: dict[int, int]) -> list[int]:
     removability whenever any subset does.  Removals only shrink the pool of
     candidates, hence one descending pass reaches the fixpoint.
     """
-    alive = set(sig)
-    for v in sorted(sig, reverse=True):
+    alive = set(range(len(sig)))
+    for v in reversed(range(len(sig))):
         target = sig[v]
         acc = 0
         for u in alive:
@@ -458,5 +478,5 @@ def base_vertices(gen: SetFamily) -> VertexSet:
     usable ids survive; other valid choices exist, but the basis they carry
     is the same.
     """
-    sig = incidence_signatures(gen)
+    sig = list(incidence_signatures(gen).values())  # in vertex order
     return VertexSet.from_members(_base_vertices_from_signatures(sig), gen.universe)

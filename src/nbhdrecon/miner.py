@@ -263,9 +263,12 @@ def _collision_candidates(hashes: np.ndarray, bits: int) -> np.ndarray:
     marked[repeated >> shift] = True
     del repeated
     width = 1 << _CHUNK_BITS
-    return np.concatenate([
-        (start + np.flatnonzero(marked[hashes[start:start + width] >> shift])).astype(np.uint32)
-        for start in range(0, len(hashes), width)])
+    parts = []
+    for start in range(0, len(hashes), width):
+        # an intp index takes numpy's fast gather; a uint32 one is cast first
+        slots = (hashes[start:start + width] >> shift).astype(np.intp)
+        parts.append((start + np.flatnonzero(marked.take(slots))).astype(np.uint32))
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True, slots=True, eq=False)

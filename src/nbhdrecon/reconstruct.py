@@ -52,7 +52,7 @@ from .families import (
     lattice_pays,
     member_lattice,
 )
-from .graphs import Graph, VertexSet, as_int, mask_members, mask_of
+from .graphs import Graph, VertexSet, as_int, mask_members
 
 #: Default cap on the number of realizations collected in ``all`` mode.
 DEFAULT_SOLUTION_LIMIT = 64
@@ -377,24 +377,26 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
             f"convexity reconstruction is capped at "
             f"{CONVEXITY_ENUMERATION_CEILING} vertices (got {n})"
         )
-    u = np.uint32((1 << n) - 1) ^ d.mask_array.astype(np.uint32)
+    u = ((1 << n) - 1) ^ d.mask_array.view(np.int64)  # intp indices, < 2^20
     # When it pays, one member lattice of U answers both: d passes the axioms
-    # iff U holds V and is union-closed, and the table gives U's irreducibles.
+    # iff U holds V (d's canonical order puts the empty set first) and is
+    # union-closed, and the table gives U's irreducibles.
     table = member_lattice(u, n) if lattice_pays(len(d), n) else None
     if not (check_convexity_axioms(d) if table is None
-            else d.contains_mask(0) and _fixed_points(table) == len(d)):
+            else d.masks[0] == 0 and _fixed_points(table) == len(d)):
         return _verdict(mode, limit, cap, [], 0, t0, d, "convexity")
-    irreducible = (np.array(irreducible_members(u.tolist(), n), dtype=np.uint32)
+    irreducible = (np.array(irreducible_members(u.tolist(), n), dtype=np.intp)
                    if table is None else _lattice_irreducible(table, u, n))
+    del u, table  # freed before the re-verification builds its own 2^n tables
 
     # bit i of sig[v]: irreducible i holds v
-    sig = dict.fromkeys(range(n), 0)
+    sig = [0] * n
     for i, m in enumerate(irreducible.tolist()):
         for v in mask_members(m):
             sig[v] |= 1 << i
     base = _base_vertices_from_signatures(sig)  # nonempty: V is in U
-    canon = [mask_of(i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
-             for v in range(n)]
+    pairs = [(1 << i, sig[b]) for i, b in enumerate(base)]
+    canon = [sum(bit for bit, s in pairs if s & ~t == 0) for t in sig]
     # the cuts are distinct, since no two members of U agree on S
     candidates, nodes = _realize_on_base(irreducible, base, canon, cap)
     return _verdict(mode, limit, cap, candidates, nodes, t0, d, "convexity")
@@ -411,6 +413,13 @@ def realizes(g: Graph, reference, kind: str) -> bool:
     ``kind`` is one of ``multiset`` (closed neighborhoods with multiplicity),
     ``support`` (distinct closed neighborhoods) or ``convexity`` (digitally
     convex sets).  Universes must match.
+
+    ``support`` compares the set of g's closed neighborhoods with the
+    reference's member set.  ``convexity`` rebuilds N[A] for every A <= V
+    from g (:func:`~nbhdrecon.convexity._neighborhood_unions`) and checks
+    that the reference has as many members as there are distinct N[A], and
+    that the complement of each member is one of them; with the counts
+    equal, that is equality of the two families.
     """
     if kind == "multiset":
         if not isinstance(reference, NeighborhoodMultiset):
@@ -427,10 +436,11 @@ def realizes(g: Graph, reference, kind: str) -> bool:
     if reference.universe != g.n:
         raise InputError("graph and reference universes differ")
     if kind == "support":
-        closed = {row | (1 << v) for v, row in enumerate(g._adj)}
-        return len(closed) == len(reference) and all(map(reference.contains_mask, closed))
+        return {row | (1 << v) for v, row in enumerate(g._adj)} == reference._mask_set
     if kind == "convexity":
         seen = _neighborhood_unions(g)  # g's sets N[A], the complements of its convex sets
+        # seen[::-1][m] is seen[full - m], the complement of m; the members
+        # are below 2^20, so their int64 view indexes without a copy
         return (np.count_nonzero(seen) == len(reference)
-                and bool(seen[((1 << g.n) - 1) ^ reference.mask_array].all()))
+                and bool(seen[::-1][reference.mask_array.view(np.int64)].all()))
     raise InputError(f"unknown invariant kind {kind!r}")

@@ -191,7 +191,7 @@ def oracle_convexity_base(d) -> tuple[list[int], list[int]]:
     from nbhdrecon.families import _base_vertices_from_signatures, incidence_signatures
 
     full = (1 << len(d)) - 1
-    sig = {v: full ^ s for v, s in incidence_signatures(d).items()}
+    sig = [full ^ s for s in incidence_signatures(d).values()]
     base = _base_vertices_from_signatures(sig)
     canon = [sum(1 << i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
              for v in range(d.universe)]

@@ -1,6 +1,7 @@
 import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +17,7 @@ from nbhdrecon import (
     convexity_witness,
     digital_convexity,
     is_digitally_convex,
+    realizes,
     union_closure,
 )
 from nbhdrecon.families import lattice_pays
@@ -119,6 +121,50 @@ class TestEnumeration:
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError):
             digital_convexity(Graph(21))
+
+
+def _ceiling_graph(kind: str, n: int) -> Graph:
+    if kind == "sparse":
+        return random_graph(n, random.Random(n), 1.5 / n)
+    if kind == "edgeless":
+        return Graph(n)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+class TestTablesAtTheCeiling:
+    """The 2^n kernels up to the enumeration ceiling, against the definition
+    on sampled subsets: a sparse G(n, 1.5/n), the edgeless graph (every
+    subset convex) and the complete graph (only the empty set and V)."""
+
+    @pytest.mark.parametrize("kind", ["sparse", "edgeless", "complete"])
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    def test_enumeration_and_reverification(self, n, kind):
+        g = _ceiling_graph(kind, n)
+        d = digital_convexity(g)
+        full = (1 << n) - 1
+        if kind == "edgeless":
+            assert len(d) == 1 << n
+        if kind == "complete":
+            assert d.masks == (0, full)
+        rng = random.Random(n * 7 + len(kind))
+        drawn = [rng.getrandbits(n) for _ in range(300)]
+        drawn += [rng.choice(d.masks) for _ in range(100)]
+        nonconvex = None
+        for bits in drawn:
+            convex = is_digitally_convex(g, VertexSet(bits, n))
+            assert d.contains_mask(bits) == convex
+            if not convex:
+                nonconvex = bits
+        assert (nonconvex is None) == (kind == "edgeless")
+
+        assert realizes(g, d, "convexity")
+        drop = rng.randrange(1, len(d) - 1) if len(d) > 2 else 1
+        rest = np.delete(d.mask_array, drop)
+        assert not realizes(g, SetFamily(n, rest), "convexity")
+        if nonconvex is not None:
+            swapped = SetFamily(n, np.append(rest, np.uint64(nonconvex)))
+            assert len(swapped) == len(d)
+            assert not realizes(g, swapped, "convexity")
 
 
 class TestComplementBridge:

@@ -369,6 +369,62 @@ class TestCanonicalOrdering:
                                   for mask in oracle_canonical_order(drawn))
 
 
+class TestMemberSet:
+    """Equality and hashing read the canonical tuple; the member set behind
+    ``contains_mask`` and ``in`` is built on first use."""
+
+    @staticmethod
+    def builds(universe, masks, rng):
+        shuffled = list(masks)
+        rng.shuffle(shuffled)
+        return [
+            SetFamily(universe, list(masks)),
+            SetFamily(universe, shuffled),
+            SetFamily(universe, list(reversed(masks)) + masks[:3]),
+            SetFamily(universe, np.array(masks, dtype=np.uint64)),
+            SetFamily(universe, np.array(shuffled, dtype=np.uint64 if universe == 64
+                                         else np.int64)),
+            SetFamily(universe, [VertexSet(m, universe) for m in shuffled]),
+        ]
+
+    @pytest.mark.parametrize("universe", [3, 9, 20, 64])
+    def test_equal_and_hash_equal_before_and_after_lookups(self, universe):
+        rng = random.Random(universe)
+        # odd masks, so that the empty set is absent
+        masks = list(dict.fromkeys(rng.getrandbits(universe) | 1 for _ in range(40)))
+        fams = self.builds(universe, masks, rng)
+        for f in fams:
+            assert f == fams[0] and hash(f) == hash(fams[0])
+        for i, f in enumerate(fams):  # probe every other one, each way
+            if i % 2 == 0:
+                continue
+            assert f.contains_mask(masks[0])
+            assert VertexSet(masks[1], universe) in f
+        for f in fams:
+            assert f == fams[0] and hash(f) == hash(fams[0])
+            assert f.contains_mask(masks[-1]) and VertexSet(masks[2], universe) in f
+        assert not fams[0].contains_mask(0) and VertexSet(0, universe) not in fams[0]
+        assert VertexSet(1, universe - 1) not in fams[0]
+        other = SetFamily(universe, masks[1:] + [0])
+        assert len(other) == len(fams[0]) and other != fams[0]
+
+    def test_family_as_dict_key(self):
+        rng = random.Random(5)
+        masks = rng.sample(range(1 << 12), 30)
+        fams = self.builds(12, masks, rng)
+        table = {fams[0]: "first"}
+        assert all(table[f] == "first" for f in fams)
+        fams[1].contains_mask(masks[0])
+        table[fams[1]] = "second"
+        assert len(table) == 1 and table[fams[2]] == "second"
+        assert SetFamily(12, masks[1:]) not in table
+        assert SetFamily(13, masks) not in table
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            SetFamily(3, [1]).no_such_attribute
+
+
 class TestIncidenceSignatures:
     @pytest.mark.parametrize("universe,k", [(10, 300), (20, 70), (64, 150), (6, 0)])
     def test_against_definition(self, universe, k):

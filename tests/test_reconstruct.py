@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import time
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -468,6 +469,12 @@ class TestFromDigitalConvexity:
         # not intersection closed
         d = SetFamily(3, [0b000, 0b011, 0b110, 0b111])
         assert from_digital_convexity(d).verdict == "infeasible"
+        # missing the empty set on the lattice side: the sets holding vertex
+        # 7 hold V and are intersection-closed; no search may run
+        d = SetFamily(8, [m for m in range(256) if m >> 7])
+        assert lattice_pays(len(d), 8)
+        result = from_digital_convexity(d)
+        assert result.verdict == "infeasible" and result.nodes_explored == 0
 
     def test_collision_family_is_ambiguous(self, k33, prism):
         result = from_digital_convexity(digital_convexity(k33), "all", 32)
@@ -546,6 +553,20 @@ class TestFromDigitalConvexity:
         assert len(d) == 5632
         assert result.verdict == "unique" and result.graph == g
         assert elapsed < 2.0, f"n=16 round trip took {elapsed:.2f}s"
+
+    def test_edgeless_n20_memory_bound(self):
+        # 2^20 convex sets: U as intp indices (8 MiB), its member lattice
+        # (4 MiB), the irreducibles' slabs, then the re-verification's
+        # 2^20-entry table of sets N[A], after the lattice is freed
+        d = digital_convexity(Graph(20))
+        tracemalloc.start()
+        try:
+            result = from_digital_convexity(d, "all")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == "unique" and result.graph == Graph(20)
+        assert peak <= 24 << 20
 
 
 class TestExhaustiveOracles:
@@ -630,6 +651,26 @@ class TestRealizes:
                 hits[kind, want] += 1
         assert {("same", True), ("same", False), ("added", False), ("removed", False),
                 ("swapped", False)} <= set(hits)
+
+    def test_support_near_misses(self):
+        # the path 0-1-2-3 has four distinct closed neighborhoods
+        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        closed = set(closed_support(p4).masks)
+        assert realizes(p4, SetFamily(4, closed), "support")
+        for x in set(range(1, 16)) - closed:
+            # one of the family's members is missing from the graph
+            assert not realizes(p4, SetFamily(4, closed | {x}), "support")
+            for y in closed:  # same count, one member different
+                assert not realizes(p4, SetFamily(4, closed - {y} | {x}), "support")
+        for y in closed:  # the graph has one the family lacks
+            assert not realizes(p4, SetFamily(4, closed - {y}), "support")
+        # 3 and 4 closed twins: five closed neighborhoods, one repeated, so
+        # no five-member family matches, whatever its fifth member
+        twin = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
+        closed = set(closed_support(twin).masks)
+        assert len(closed) == 4 and realizes(twin, SetFamily(5, closed), "support")
+        for x in set(range(1, 32)) - closed:
+            assert not realizes(twin, SetFamily(5, closed | {x}), "support")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
