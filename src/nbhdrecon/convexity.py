@@ -67,7 +67,8 @@ def digital_convexity(g: Graph) -> SetFamily:
     By the complement bridge the convex sets are exactly the complements of
     the sets N[A], A <= V, which :func:`_neighborhood_unions` marks.
     """
-    return SetFamily(g.n, ((1 << g.n) - 1) ^ np.flatnonzero(_neighborhood_unions(g)))
+    return SetFamily._from_distinct(
+        g.n, ((1 << g.n) - 1) ^ np.flatnonzero(_neighborhood_unions(g)))
 
 
 def _neighborhood_unions(g: Graph) -> np.ndarray:
@@ -84,9 +85,10 @@ def _neighborhood_unions(g: Graph) -> np.ndarray:
             f"digital convexity enumeration is capped at "
             f"{CONVEXITY_ENUMERATION_CEILING} vertices (got {n})"
         )
-    reach = np.zeros(1 << n, dtype=np.intp)  # reach[A] = N[A]
-    for v in range(n):
-        reach[1 << v:2 << v] = reach[:1 << v] | g.closed_mask(v)
+    reach = np.empty(1 << n, dtype=np.intp)  # reach[A] = N[A]
+    reach[0] = 0
+    for v in range(n):  # the loop's own ids: no per-step validation
+        np.bitwise_or(reach[:1 << v], g._adj[v] | 1 << v, out=reach[1 << v:2 << v])
     seen = np.zeros(1 << n, dtype=bool)
     seen[reach] = True
     return seen
@@ -94,7 +96,7 @@ def _neighborhood_unions(g: Graph) -> np.ndarray:
 
 def complement_family(f: SetFamily) -> SetFamily:
     """Member-wise complement within the universe; involutive."""
-    return SetFamily(f.universe, np.uint64((1 << f.universe) - 1) ^ f.mask_array)
+    return SetFamily._from_distinct(f.universe, np.uint64((1 << f.universe) - 1) ^ f.mask_array)
 
 
 @dataclass(frozen=True, slots=True)

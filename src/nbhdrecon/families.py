@@ -12,20 +12,25 @@ The inclusion and equality tests ``cn_subset`` / ``cn_equal`` decide
 holds iff every family member meeting A also meets B.  Because meeting a
 union splits over its parts, evaluating the test on any generating family is
 equivalent to evaluating it on the full union closure, so the closure never
-has to be materialized.  :func:`incidence_signatures` packs those tests into
-one int per vertex over a family's members; :func:`base_vertices` and the
-support path's twin classes read them over the whole family, while the
-convexity path builds its own over the union-irreducible members alone.
+has to be materialized.  A vertex's signature packs those tests into one
+int over a family's members, bit i set when member i holds it: the
+signatures are the transpose of the member masks.  The support path's twin
+classes read them from :func:`incidence_signatures`.  :func:`base_vertices`
+and the convexity path (over the union-irreducible members alone) compare
+them through containment caps instead, in :func:`_base_and_cans`: cap(u),
+the AND of the members holding u, holds v exactly when sig(u) is a subset of
+sig(v), so every containment among signatures is read off n caps, with no
+pair compared.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, VertexSet, as_int, mask_members
+from .graphs import Graph, VertexSet, _transpose, as_int, mask_members
 
 #: Default cap on union-closure size; past this the instance is out of desk
 #: scale and we fail loudly rather than thrash.
@@ -100,6 +105,12 @@ class SetFamily:
     Equal families have equal ``masks``, so equality and hashing read that
     tuple.  The member set behind :meth:`contains_mask` and ``in`` is built
     by ``__getattr__`` on its first read; later reads find it in its slot.
+
+    The public constructor validates and deduplicates its members.  Families
+    the library derives from one it already holds (``digital_convexity``,
+    ``complement_family``, ``union_basis``) come from the private
+    :meth:`_from_distinct`, which only sorts: their members are distinct and
+    inside the universe by construction, so the check could never fail.
     """
 
     __slots__ = ("universe", "masks", "mask_array", "_mask_set")
@@ -108,8 +119,25 @@ class SetFamily:
         universe = as_int(universe, "universe")
         if not 0 <= universe <= 64:
             raise InputError(f"universe must be in 0..64, got {universe}")
+        self._store(universe, _distinct_masks(members, universe))
+
+    @classmethod
+    def _from_distinct(cls, universe: int, masks: np.ndarray) -> "SetFamily":
+        """The family of ``masks``, a 1-D integer array that the caller
+        guarantees to hold distinct masks inside ``universe`` (0..64).
+
+        Only the canonical sort runs; the dedupe and the range check are
+        skipped.  Every caller passes complements, within the universe, of
+        distinct in-range masks, or a subset of a family's members, so the
+        result equals the family the public constructor builds from them.
+        """
+        f = cls.__new__(cls)
+        f._store(universe, masks.astype(np.uint64, copy=False))
+        return f
+
+    def _store(self, universe: int, arr: np.ndarray) -> None:
+        """Set the slots from distinct uint64 masks, sorted canonically."""
         self.universe = universe
-        arr = _distinct_masks(members, universe)
         arr = arr[_canonical_order(arr)]
         arr.flags.writeable = False
         self.mask_array = arr
@@ -415,7 +443,8 @@ def union_basis(f) -> SetFamily:
             raise InputError("cannot infer a universe from an empty iterable")
         universe = members[0].universe
         masks = [_coerce_mask(m, universe) for m in members]
-    return SetFamily(universe, irreducible_members(masks, universe))
+    irreducible = irreducible_members(masks, universe)
+    return SetFamily._from_distinct(universe, np.array(irreducible, dtype=np.uint64))
 
 
 def spans(candidate: SetFamily, f: SetFamily) -> bool:
@@ -438,8 +467,7 @@ def incidence_signatures(gen: SetFamily) -> dict[int, int]:
     Signatures turn the membership tests behind ``cn_subset`` / ``cn_equal``
     into single word operations: ``sig(u) subset-of sig(v)`` is exactly
     ``cn_subset({u}, {v}, gen)``, and OR-ing signatures handles vertex sets.
-    Its callers are :func:`base_vertices` and the support path's twin
-    classes; the convexity path builds its signatures over the union basis.
+    Its caller is the support path's twin classes.
     """
     verts = range(gen.universe)
     # one row per vertex, each member packed to one bit (set when nonzero)
@@ -448,26 +476,48 @@ def incidence_signatures(gen: SetFamily) -> dict[int, int]:
     return {v: int.from_bytes(row.tobytes(), "little") for v, row in zip(verts, rows)}
 
 
-def _base_vertices_from_signatures(sig: list[int]) -> list[int]:
-    """Greedy removal pass over every vertex; survivors carry the union basis.
+def _base_and_cans(masks: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """The base vertices of the family ``masks`` generates, ascending, and
+    can(v) for every vertex v: the mask of the indices i with
+    sig(base[i]) subset-of sig(v).
+
+    sig, one int per vertex with bit i set when member i holds it, is the
+    transpose of ``masks``.  cap[u], the AND of the members holding u (all
+    of the universe when none does), holds v exactly when sig(u) is a
+    subset of sig(v), so no pair of signatures is ever compared: below[v],
+    the transpose of the caps, is the set of u with sig(u) subset-of sig(v),
+    and can() is the transpose of the base vertices' caps.
 
     Vertices are dropped from the highest id down, so the lowest id in each
     group of interchangeable vertices survives.  A vertex v is removable when
-    the canonical candidate A* = {u alive : sig(u) subset-of sig(v)} satisfies
-    sig(A*) == sig(v); A* is the largest candidate, so it witnesses
-    removability whenever any subset does.  Removals only shrink the pool of
-    candidates, hence one descending pass reaches the fixpoint.
+    the canonical candidate A* = {u alive, u != v : sig(u) subset-of sig(v)}
+    satisfies sig(A*) == sig(v); A* is the largest candidate, so it
+    witnesses removability whenever any subset does.  Removals only shrink
+    the pool of candidates, hence one descending pass reaches the fixpoint.
     """
-    alive = set(range(len(sig)))
-    for v in reversed(range(len(sig))):
-        target = sig[v]
+    full = (1 << n) - 1
+    sig = _transpose(masks, n)
+    cap = []
+    for s in sig:
+        c = full
+        while s:
+            low = s & -s
+            c &= masks[low.bit_length() - 1]
+            s ^= low
+        cap.append(c)
+    below = _transpose(cap, n)
+    alive = full
+    for v in reversed(range(n)):
+        pool = below[v] & alive & ~(1 << v)
         acc = 0
-        for u in alive:
-            if u != v and sig[u] & ~target == 0:
-                acc |= sig[u]
-        if acc == target:
-            alive.remove(v)
-    return sorted(alive)
+        while pool:
+            low = pool & -pool
+            acc |= sig[low.bit_length() - 1]
+            pool ^= low
+        if acc == sig[v]:
+            alive ^= 1 << v
+    base = [v for v in range(n) if alive >> v & 1]
+    return base, _transpose([cap[b] for b in base], n)
 
 
 def base_vertices(gen: SetFamily) -> VertexSet:
@@ -478,5 +528,5 @@ def base_vertices(gen: SetFamily) -> VertexSet:
     usable ids survive; other valid choices exist, but the basis they carry
     is the same.
     """
-    sig = list(incidence_signatures(gen).values())  # in vertex order
-    return VertexSet.from_members(_base_vertices_from_signatures(sig), gen.universe)
+    base, _ = _base_and_cans(gen.masks, gen.universe)
+    return VertexSet.from_members(base, gen.universe)

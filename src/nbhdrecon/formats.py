@@ -199,9 +199,13 @@ def _sets_from_json(obj: dict) -> tuple[int, list[list[int]]]:
     for i, members in enumerate(sets):
         if not isinstance(members, list) or not all(type(v) is int for v in members):
             raise FormatError(f'set #{i} is not an integer array')
+        seen = 0
         for v in members:
             if not 0 <= v < universe:
                 raise FormatError(f"set #{i} member {v} outside universe {universe}")
+            if seen >> v & 1:
+                raise FormatError(f"set #{i} lists vertex {v} twice")
+            seen |= 1 << v
     return universe, sets
 
 

@@ -36,6 +36,23 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _transpose(rows: Iterable[int], width: int) -> list[int]:
+    """Transpose a bit matrix: bit i of ``out[j]`` is bit j of ``rows[i]``.
+
+    Every row must lie below ``1 << width``.  Each row is walked by its
+    lowest set bit, so the cost is its popcount, with no member tuple built.
+    """
+    out = [0] * width
+    bit = 1
+    for row in rows:
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+        bit <<= 1
+    return out
+
+
 def as_int(x, what: str) -> int:
     """``x`` as an int: numpy integers pass, bools and non-integers raise."""
     if type(x) is int:

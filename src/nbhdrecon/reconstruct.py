@@ -43,7 +43,7 @@ from .errors import InputError, ResourceLimitError, UnrealizableFamilyError
 from .families import (
     NeighborhoodMultiset,
     SetFamily,
-    _base_vertices_from_signatures,
+    _base_and_cans,
     _canonical_order,
     _fixed_points,
     _lattice_irreducible,
@@ -52,7 +52,7 @@ from .families import (
     lattice_pays,
     member_lattice,
 )
-from .graphs import Graph, VertexSet, as_int, mask_members
+from .graphs import Graph, VertexSet, _transpose, as_int, mask_members
 
 #: Default cap on the number of realizations collected in ``all`` mode.
 DEFAULT_SOLUTION_LIMIT = 64
@@ -226,10 +226,7 @@ def _realize(n: int, entries, cap: int) -> tuple[list[tuple[int, ...]], int]:
         return [], 0
     entry_masks = [mask for mask, _ in entries]
     remaining = [mult for _, mult in entries]
-    inc = [0] * n
-    for j, mask in enumerate(entry_masks):
-        for v in mask_members(mask):
-            inc[v] |= 1 << j
+    inc = _transpose(entry_masks, n)
     if not all(inc):
         return [], 0
 
@@ -296,29 +293,36 @@ def _realize_on_base(masks: np.ndarray, base: list[int], canon: list[int],
     ``canon[v]`` is the mask of the base indices whose closed neighborhoods
     make up N[v]: w is adjacent to v exactly when a base index of w lies in
     N_q[r] for a base index r of v, which is symmetric because q is.
+
+    When every vertex is a base vertex (``base`` is ascending, so it is then
+    ``range(n)``), each cut equals its mask and the numpy cut is skipped.
     """
-    m = len(base)
-    cut = (((masks[:, None] >> np.array(base, dtype=masks.dtype)) & 1)
-           << np.arange(m, dtype=masks.dtype)).sum(axis=1, dtype=np.uint64)
+    m, n = len(base), len(canon)
+    if m == n:  # base is range(n): every cut is its mask
+        cut = masks
+    else:
+        cut = (((masks[:, None] >> np.array(base, dtype=masks.dtype)) & 1)
+               << np.arange(m, dtype=masks.dtype)).sum(axis=1, dtype=np.uint64)
     found, nodes = _realize(m, [(c, 1) for c in cut[_canonical_order(cut)].tolist()], cap)
-    n = len(canon)
-    owners = [0] * m  # owners[r]: the vertices with r among their base indices
-    for v, c in enumerate(canon):
-        for r in mask_members(c):
-            owners[r] |= 1 << v
+    owners = _transpose(canon, m)  # owners[r]: the vertices with r among their base indices
     graphs = []
     for q in found:
         reach = []  # reach[r]: the vertices owning a base index in N_q[r]
         for r, row_q in enumerate(q):
+            row_q |= 1 << r
             row = 0
-            for s in mask_members(row_q | (1 << r)):
-                row |= owners[s]
+            while row_q:
+                low = row_q & -row_q
+                row |= owners[low.bit_length() - 1]
+                row_q ^= low
             reach.append(row)
         adj = []
         for v, c in enumerate(canon):
             row = 0
-            for r in mask_members(c):
-                row |= reach[r]
+            while c:
+                low = c & -c
+                row |= reach[low.bit_length() - 1]
+                c ^= low
             adj.append(row & ~(1 << v))
         graphs.append(Graph._from_adj_unchecked(n, tuple(adj)))
     return graphs, nodes
@@ -366,7 +370,10 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     all of U.  The irreducibles generate U, so a member of U holding u
     holds an irreducible that holds u: every containment and every
     OR-equality of signatures comes out as over all of U, as in
-    :func:`~nbhdrecon.families.cn_subset`.
+    :func:`~nbhdrecon.families.cn_subset`.  The containments come from
+    caps, not from pairs of signatures: the AND of the irreducibles holding
+    u is the set of v whose signatures contain u's
+    (:func:`~nbhdrecon.families._base_and_cans`).
     """
     t0 = time.perf_counter()
     cap = _check_mode(mode, limit, d.universe)
@@ -389,14 +396,7 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
                    if table is None else _lattice_irreducible(table, u, n))
     del u, table  # freed before the re-verification builds its own 2^n tables
 
-    # bit i of sig[v]: irreducible i holds v
-    sig = [0] * n
-    for i, m in enumerate(irreducible.tolist()):
-        for v in mask_members(m):
-            sig[v] |= 1 << i
-    base = _base_vertices_from_signatures(sig)  # nonempty: V is in U
-    pairs = [(1 << i, sig[b]) for i, b in enumerate(base)]
-    canon = [sum(bit for bit, s in pairs if s & ~t == 0) for t in sig]
+    base, canon = _base_and_cans(irreducible.tolist(), n)  # base nonempty: V is in U
     # the cuts are distinct, since no two members of U agree on S
     candidates, nodes = _realize_on_base(irreducible, base, canon, cap)
     return _verdict(mode, limit, cap, candidates, nodes, t0, d, "convexity")

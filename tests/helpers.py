@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from nbhdrecon import Graph, VertexSet, contains_induced_c4
+from nbhdrecon import Graph, SetFamily, VertexSet, contains_induced_c4, digital_convexity
 from nbhdrecon.families import _POPCOUNT8
 from nbhdrecon.graphs import mask_members
 
@@ -182,20 +182,56 @@ def oracle_irreducible(members) -> set[frozenset]:
             if m and frozenset().union(*(o for o in distinct if o < m)) != m}
 
 
+def oracle_base_vertices(sig: list[int]) -> list[int]:
+    """Base vertices from per-vertex signatures by the all-pairs greedy pass.
+
+    Vertices are dropped from the highest id down; v is removable when the
+    OR of the signatures of the other alive vertices u with
+    sig(u) subset-of sig(v) equals sig(v).  Every pair is compared directly,
+    with no containment caps."""
+    alive = set(range(len(sig)))
+    for v in reversed(range(len(sig))):
+        target = sig[v]
+        acc = 0
+        for u in alive:
+            if u != v and sig[u] & ~target == 0:
+                acc |= sig[u]
+        if acc == target:
+            alive.remove(v)
+    return sorted(alive)
+
+
 def oracle_convexity_base(d) -> tuple[list[int], list[int]]:
     """Base vertices and can() of the convexity ``d`` from the signatures
     over every member of U, the complements of its members: ``d``'s
     incidence signatures complemented within ``len(d)`` bits.  can(v) is the
     mask of the indices i with N[base[i]] inside N[v].  This is the formula
-    the library's signatures over U's irreducible members replaced."""
-    from nbhdrecon.families import _base_vertices_from_signatures, incidence_signatures
+    the library's caps over U's irreducible members replaced."""
+    from nbhdrecon.families import incidence_signatures
 
     full = (1 << len(d)) - 1
     sig = [full ^ s for s in incidence_signatures(d).values()]
-    base = _base_vertices_from_signatures(sig)
+    base = oracle_base_vertices(sig)
     canon = [sum(1 << i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
              for v in range(d.universe)]
     return base, canon
+
+
+def lattice_corpus():
+    """``(g, d, dropped)`` for 60 seeded C4-free graphs g at n = 12-14 whose
+    convexity d has 200-799 members; ``dropped`` is d with one member other
+    than the empty set and V dropped."""
+    rng = random.Random(1414)
+    kept = 0
+    while kept < 60:
+        n = rng.choice((12, 13, 14))
+        g = random_c4_free_graph(n, rng)
+        d = digital_convexity(g)
+        if not 200 <= len(d) < 800:
+            continue
+        kept += 1
+        drop = rng.choice(d.masks[1:-1])
+        yield g, d, SetFamily(n, [m for m in d.masks if m != drop])
 
 
 def oracle_first_unclosed_pair(members):

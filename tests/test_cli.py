@@ -401,6 +401,16 @@ class TestInputContracts:
         p.write_text(json.dumps({"universe": 0, "sets": []}))
         assert_one_error_line(*run(capsys, "reconstruct", "--from", source, str(p)))
 
+    @pytest.mark.parametrize("source", ["multiset", "support", "dc"])
+    @pytest.mark.parametrize("sets", [[[0, 0], [0, 1]], [[1, 1]], [[0, 1], [1, 0, 1]]])
+    def test_repeated_vertex_exit_one(self, capsys, tmp_path, source, sets):
+        # a repeated id once carried into the next bit: [1, 1] read as {2}
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps({"universe": 3, "sets": sets}))
+        code, out, err = run(capsys, "reconstruct", "--from", source, str(p))
+        assert_one_error_line(code, out, err)
+        assert "twice" in err
+
     @pytest.mark.parametrize("payload", [
         {"n": 3, "labels": 5, "edges": []},
         {"n": 3, "labels": [[1], [2], [3]], "edges": []},

@@ -14,6 +14,8 @@ from nbhdrecon import (
     base_vertices,
     closed_support,
     cn_equal,
+    complement_family,
+    digital_convexity,
     cn_subset,
     neighborhood_multiset,
     spans,
@@ -21,9 +23,12 @@ from nbhdrecon import (
     union_closure,
 )
 from nbhdrecon import families
+from nbhdrecon.convexity import _neighborhood_unions
+from nbhdrecon.miner import enumerate_labeled_graphs
 from nbhdrecon.families import (
     _lattice_irreducible,
     incidence_signatures,
+    irreducible_members,
     lattice_pays,
     member_lattice,
     or_zeta,
@@ -33,8 +38,10 @@ from helpers import (
     P3,
     WORKED_EXAMPLE,
     WORKED_EXAMPLE_SUPPORT,
+    lattice_corpus,
     nbhd_sets,
     oracle_base_vertex_set,
+    oracle_base_vertices,
     oracle_canonical_order,
     oracle_incidence_signatures,
     oracle_irreducible,
@@ -323,6 +330,58 @@ class TestBaseVertices:
     def test_works_over_the_closure_too(self):
         supp = closed_support(WORKED_EXAMPLE)
         assert base_vertices(union_closure(supp)) == base_vertices(supp)
+
+
+    def test_against_all_pairs_greedy(self):
+        rng = random.Random(4242)
+        fams = [closed_support(g) for n in range(1, 6) for g in enumerate_labeled_graphs(n)]
+        fams += [closed_support(random_graph(rng.randint(6, 16), rng)) for _ in range(100)]
+        # generating families of no graph: vertices in no member, empty members
+        fams += [SetFamily(n, [rng.getrandbits(n) for _ in range(rng.randint(0, 2 * n))])
+                 for n in (rng.randint(1, 14) for _ in range(300))]
+        for f in fams:
+            sig = list(oracle_incidence_signatures(f.masks, range(f.universe)).values())
+            assert base_vertices(f).members() == tuple(oracle_base_vertices(sig))
+
+
+class TestDerivedFamilies:
+    """``digital_convexity``, ``complement_family`` and ``union_basis`` build
+    their families through ``SetFamily._from_distinct``, which skips the
+    dedupe and the range check; each must equal the family the validated
+    constructor builds from the same members."""
+
+    @staticmethod
+    def graphs():
+        yield from (g for n in range(1, 6) for g in enumerate_labeled_graphs(n))
+        yield from (g for g, _, _ in lattice_corpus())
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.universe == want.universe and got.masks == want.masks
+        assert got.mask_array.dtype == np.uint64 and not got.mask_array.flags.writeable
+        assert got.mask_array.tolist() == list(want.masks)
+        assert got == want and want == got and hash(got) == hash(want)
+        table = {want: "validated"}
+        assert table[got] == "validated"
+        table[got] = "derived"
+        assert len(table) == 1
+        assert all(got.contains_mask(m) for m in want.masks)
+
+    def test_against_validated_constructor(self):
+        for g in self.graphs():
+            n, full = g.n, (1 << g.n) - 1
+            d = digital_convexity(g)
+            want = SetFamily(n, [full ^ int(m) for m in np.flatnonzero(_neighborhood_unions(g))])
+            self.assert_same(d, want)
+            c = complement_family(d)
+            self.assert_same(c, SetFamily(n, [full ^ m for m in d.masks]))
+            self.assert_same(union_basis(c), SetFamily(n, irreducible_members(c.masks, n)))
+            self.assert_same(union_basis(d), SetFamily(n, irreducible_members(d.masks, n)))
+
+    def test_empty_and_singleton_results(self):
+        self.assert_same(union_basis(SetFamily(3, [0])), SetFamily(3, []))
+        self.assert_same(complement_family(SetFamily(0, [0])), SetFamily(0, [0]))
+        self.assert_same(complement_family(SetFamily(4, [])), SetFamily(4, []))
 
 
 class TestCanonicalOrdering:

@@ -162,6 +162,16 @@ class TestFamilyJson:
         with pytest.raises(FormatError):
             family_from_json_dict({"universe": 2, "sets": [[2]]})
 
+    @pytest.mark.parametrize("parse", [family_from_json_dict, multiset_from_json_dict])
+    def test_repeated_vertex_rejected(self, parse):
+        # summed bits would read [0, 0] as {1} and [1, 1] as {2}
+        with pytest.raises(FormatError, match=r"^set #0 lists vertex 0 twice$"):
+            parse({"universe": 2, "sets": [[0, 0], [0, 1]]})
+        with pytest.raises(FormatError, match=r"^set #1 lists vertex 1 twice$"):
+            parse({"universe": 3, "sets": [[0], [1, 2, 1]]})
+        assert parse({"universe": 2, "sets": [[1, 0], [0]]}) == \
+            parse({"universe": 2, "sets": [[0, 1], [0]]})
+
     @pytest.mark.parametrize("obj", [
         {"universe": True, "sets": [[0]]},
         {"universe": 2, "sets": [[True]]},

@@ -18,6 +18,7 @@ from nbhdrecon import (
     induced_subgraph,
     is_isomorphic,
 )
+from nbhdrecon.graphs import _transpose, mask_members
 from nbhdrecon.miner import enumerate_labeled_graphs
 
 from helpers import P3, UNIQUE_WITH_C4, WORKED_EXAMPLE, girth5_edge_masks, random_graph, vs1
@@ -25,6 +26,34 @@ from helpers import P3, UNIQUE_WITH_C4, WORKED_EXAMPLE, girth5_edge_masks, rando
 
 def complete(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+class TestTranspose:
+    @staticmethod
+    def by_member_tuples(rows, width):
+        out = [0] * width
+        for i, row in enumerate(rows):
+            for j in mask_members(row):
+                out[j] |= 1 << i
+        return out
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 13, 63, 64])
+    def test_against_member_tuples(self, width):
+        rng = random.Random(width)
+        full = (1 << width) - 1
+        for k in (0, 1, 2, 7, 64, 65):
+            rows = [rng.getrandbits(width) for _ in range(k)]
+            if k >= 2:
+                rows[0], rows[-1] = 0, full  # an empty and a full row
+            got = _transpose(rows, width)
+            assert got == self.by_member_tuples(rows, width)
+            assert _transpose(got, k) == rows
+
+    @pytest.mark.parametrize("width", [1, 63, 64])
+    def test_single_bits(self, width):
+        rows = [1 << j for j in range(width)]
+        assert _transpose(rows, width) == rows
+        assert _transpose([1 << (width - 1)], width) == [0] * (width - 1) + [1]
 
 
 class TestVertexSet:

@@ -16,12 +16,14 @@ from nbhdrecon import (
     UnrealizableFamilyError,
     VertexSet,
     closed_support,
+    complement_family,
     digital_convexity,
     from_digital_convexity,
     from_multiset,
     from_support,
     neighborhood_multiset,
     realizes,
+    union_basis,
 )
 from nbhdrecon import reconstruct as reconstruct_module
 from nbhdrecon.families import lattice_pays
@@ -35,7 +37,9 @@ from helpers import (
     WORKED_EXAMPLE,
     WORKED_EXAMPLE_EDGES,
     brute_force_multiset_realizations,
+    lattice_corpus,
     nbhd_sets,
+    oracle_canonical_order,
     oracle_convexity,
     oracle_convexity_base,
     oracle_support,
@@ -116,23 +120,6 @@ def random_supports():
         yield SetFamily(n, masks), SUPPORT_MODES
     for _ in range(200):
         yield closed_support(random_graph(rng.randint(10, 16), rng)), (("all", 16),)
-
-
-def lattice_corpus():
-    """``(g, d, dropped)`` for 60 seeded C4-free graphs g at n = 12-14 whose
-    convexity d has 200-799 members; ``dropped`` is d with one member other
-    than the empty set and V dropped."""
-    rng = random.Random(1414)
-    kept = 0
-    while kept < 60:
-        n = rng.choice((12, 13, 14))
-        g = random_c4_free_graph(n, rng)
-        d = digital_convexity(g)
-        if not 200 <= len(d) < 800:
-            continue
-        kept += 1
-        drop = rng.choice(d.masks[1:-1])
-        yield g, d, SetFamily(n, [m for m in d.masks if m != drop])
 
 
 class TestEquivalenceClasses:
@@ -522,12 +509,15 @@ class TestFromDigitalConvexity:
     def test_basis_signatures_agree_with_full_family_on_small_graphs(
             self, monkeypatch, lattice_side):
         seen = self.record_base(monkeypatch)
-        for n in range(1, 6):
-            for g in enumerate_labeled_graphs(n):
-                d = digital_convexity(g)
-                seen.clear()
-                from_digital_convexity(d, "first")
-                assert seen == [oracle_convexity_base(d)]
+        rng = random.Random(612)
+        graphs = [g for n in range(1, 6) for g in enumerate_labeled_graphs(n)]
+        graphs += [random_c4_free_graph(rng.randint(6, 10), rng) for _ in range(60)]
+        graphs += [random_graph(rng.randint(6, 12), rng) for _ in range(60)]
+        for g in graphs:
+            d = digital_convexity(g)
+            seen.clear()
+            from_digital_convexity(d, "first")
+            assert seen == [oracle_convexity_base(d)]
 
     def test_basis_signatures_agree_with_full_family_on_lattice_corpus(
             self, monkeypatch, lattice_side):
@@ -567,6 +557,72 @@ class TestFromDigitalConvexity:
             tracemalloc.stop()
         assert result.verdict == "unique" and result.graph == Graph(20)
         assert peak <= 24 << 20
+
+
+class TestIdentityCut:
+    """The realizer's entries are the masks cut down to the base vertices.
+    When every vertex is a base vertex, ``_realize_on_base`` hands over the
+    masks themselves instead of the numpy cut; the entries, answers and
+    node counts must not tell the two apart."""
+
+    @staticmethod
+    def record_entries(monkeypatch) -> list:
+        seen = []
+        realize = reconstruct_module._realize
+
+        def spy(n, entries, cap):
+            seen.append((n, list(entries)))
+            return realize(n, entries, cap)
+
+        monkeypatch.setattr(reconstruct_module, "_realize", spy)
+        return seen
+
+    @staticmethod
+    def cut_entries(masks, base) -> tuple[int, list]:
+        """The entries by the definition of the cut, bit i for base[i]."""
+        cuts = [sum(1 << i for i, b in enumerate(base) if m >> b & 1) for m in masks]
+        return len(base), [(c, 1) for c in oracle_canonical_order(cuts)]
+
+    def test_support(self, monkeypatch):
+        seen = self.record_entries(monkeypatch)
+        rng = random.Random(99)
+        graphs = [g for n in range(1, 6) for g in enumerate_labeled_graphs(n)]
+        graphs += [g for g, _, _ in lattice_corpus()]
+        graphs += [with_closed_twins(random_c4_free_graph(8, rng), 2, rng) for _ in range(30)]
+        identity = 0
+        for g in graphs:
+            f = closed_support(g)
+            base = list(equivalence_classes(f).representatives)
+            seen.clear()
+            result = from_support(f, "all")
+            assert seen == [self.cut_entries(f.masks, base)]
+            if len(base) == g.n:
+                identity += 1
+                ref = from_multiset(NeighborhoodMultiset(g.n, f.masks), "all")
+                assert result.verdict == ref.verdict and result.graphs == ref.graphs
+                assert result.nodes_explored == ref.nodes_explored
+        assert 0 < identity < len(graphs)
+
+    def test_convexity(self, monkeypatch, lattice_side):
+        seen = self.record_entries(monkeypatch)
+        graphs = [g for n in range(1, 6) for g in enumerate_labeled_graphs(n)]
+        if lattice_side == "lattice":  # the pair sweeps take seconds on these
+            graphs += [g for g, _, _ in lattice_corpus()]
+        identity = 0
+        for g in graphs:
+            d = digital_convexity(g)
+            base, _ = oracle_convexity_base(d)
+            irreducible = union_basis(complement_family(d)).masks
+            seen.clear()
+            result = from_digital_convexity(d, "all")
+            assert seen == [self.cut_entries(irreducible, base)]
+            if len(base) == g.n:
+                identity += 1
+                # the irreducibles are then g's closed neighborhoods, each once
+                ref = from_multiset(NeighborhoodMultiset(g.n, irreducible), "all")
+                assert result.verdict == ref.verdict and result.graphs == ref.graphs
+                assert result.nodes_explored == ref.nodes_explored
+        assert 0 < identity < len(graphs)
 
 
 class TestExhaustiveOracles:
