@@ -33,8 +33,9 @@ class UnsupportedSizeError(NbhdReconError):
 class UnrealizableFamilyError(NbhdReconError):
     """A set family cannot be the named invariant of any graph.
 
-    Raised by intermediate operations; the reconstruction entry points
-    catch it and report an infeasible verdict instead.
+    Only :func:`~nbhdrecon.reconstruct.quotient_family` raises it, for a
+    member that is not a union of twin classes.  No reconstruction entry
+    point catches it: they reach an infeasible verdict without it.
     """
 
 

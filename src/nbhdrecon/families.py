@@ -14,10 +14,11 @@ union splits over its parts, evaluating the test on any generating family is
 equivalent to evaluating it on the full union closure, so the closure never
 has to be materialized.  A vertex's signature packs those tests into one
 int over a family's members, bit i set when member i holds it: the
-signatures are the transpose of the member masks.  The support path's twin
-classes read them from :func:`incidence_signatures`.  :func:`base_vertices`
-and the convexity path (over the union-irreducible members alone) compare
-them through containment caps instead, in :func:`_base_and_cans`: cap(u),
+signatures are the transpose of the member masks
+(:func:`~nbhdrecon.graphs._transpose`).  The support path's twin classes
+are the vertices of equal signature.  :func:`base_vertices` and the
+convexity path (over the union-irreducible members alone) compare them
+through containment caps, in :func:`_base_and_cans`: cap(u),
 the AND of the members holding u, holds v exactly when sig(u) is a subset of
 sig(v), so every containment among signatures is read off n caps, with no
 pair compared.
@@ -78,20 +79,7 @@ def _coerce_mask(member, universe: int) -> int:
 
 def _distinct_masks(members, universe: int) -> np.ndarray:
     """The distinct member masks as a uint64 array, each checked against
-    ``universe``.
-
-    A 1-D integer array is sorted and checked through its extremes;
-    anything else goes member by member through :func:`_coerce_mask`.
-    """
-    if isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "iu":
-        if not members.size:
-            return members.astype(np.uint64)
-        # np.unique is several times slower than this sort on these sizes
-        arr = np.sort(members)
-        _coerce_mask(int(arr[0]), universe)
-        _coerce_mask(int(arr[-1]), universe)
-        arr = arr.astype(np.uint64, copy=False)
-        return arr[np.append(True, arr[1:] != arr[:-1])]
+    ``universe`` by :func:`_coerce_mask`."""
     masks = {_coerce_mask(m, universe) for m in members}
     return np.fromiter(masks, dtype=np.uint64, count=len(masks))
 
@@ -352,15 +340,16 @@ def member_lattice(masks: np.ndarray, n: int) -> np.ndarray:
 def lattice_pays(k: int, n: int) -> bool:
     """True when the 2^n lattice beats a sweep over the k^2 member pairs.
 
-    Measured on a 2-core Xeon at 2.0 GHz (Python 3.11, numpy 2.4): the
-    Python pair sweep in :func:`irreducible_members` costs 75-95 ns a pair
-    and the searchsorted one in the axiom check 20-30 ns, and a lattice
-    about 0.6 ns per n * 2^n cell at n = 14 to 18 plus ~170 us of fixed
-    numpy set-up.  Hence pairs win while k^2 < n * 2^n / 128 + 2048.  The
-    measured crossovers at n = 8, 10, 12, 14 and 16: k ~ 29, 31, 35, 48 and
-    93 for the irreducibles (one gather per slab of members; 38, 40, 46, 62
-    and 102 with one numpy pass per bit, in the same sitting), ~ 40, 46, 56,
-    81 and 160 for the axiom check; the formula gives 45, 46, 49, 62 and 101.
+    Pairs win while k^2 < n * 2^n / 128 + 2048.  Measured on a 2-core Xeon
+    at 2.0 GHz (Python 3.11, numpy 2.4) over the convexity path's two
+    reads, the axiom check and the irreducible members: the pair sweeps
+    take about 120 ns per k^2 together; the lattice takes 0.4-0.8 ns per
+    n * 2^n cell at n = 18 to 20 (2.1, 6.1 and 16 ms) and 30-80 us at
+    n = 4 to 10, nearly whatever k.  So the pairs win at small k (13-35 us
+    against 28-49 us at n = 4 to 6, k <= 32), but from k ~ 20-30 at n = 6 to
+    10 the lattice does, below the formula's crossover of k ~ 45 (at n = 8,
+    k = 30-44: 60 us against 131-186 us).  On dense G(n, 0.9) at n = 18 to
+    20 (k = 16-44) the pairs take 0.07-0.17 ms and a forced lattice 2-16 ms.
     """
     return n <= LATTICE_CEILING and k * k > ((n << n) >> 7) + 2048
 
@@ -461,25 +450,10 @@ def spans(candidate: SetFamily, f: SetFamily) -> bool:
     return True
 
 
-def incidence_signatures(gen: SetFamily) -> dict[int, int]:
-    """Per-vertex bitmask over family members: bit i set iff member i holds v.
-
-    Signatures turn the membership tests behind ``cn_subset`` / ``cn_equal``
-    into single word operations: ``sig(u) subset-of sig(v)`` is exactly
-    ``cn_subset({u}, {v}, gen)``, and OR-ing signatures handles vertex sets.
-    Its caller is the support path's twin classes.
-    """
-    verts = range(gen.universe)
-    # one row per vertex, each member packed to one bit (set when nonzero)
-    bits = np.array([1 << v for v in verts], dtype=np.uint64)[:, None]
-    rows = np.packbits(gen.mask_array & bits, axis=1, bitorder="little")
-    return {v: int.from_bytes(row.tobytes(), "little") for v, row in zip(verts, rows)}
-
-
-def _base_and_cans(masks: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """The base vertices of the family ``masks`` generates, ascending, and
-    can(v) for every vertex v: the mask of the indices i with
-    sig(base[i]) subset-of sig(v).
+def _base_and_cans(masks: Sequence[int], n: int) -> tuple[list[int], list[int], list[int]]:
+    """The base vertices of the family ``masks`` generates, ascending,
+    can(v) for every vertex v, the mask of the indices i with
+    sig(base[i]) subset-of sig(v), and the base vertices' signatures.
 
     sig, one int per vertex with bit i set when member i holds it, is the
     transpose of ``masks``.  cap[u], the AND of the members holding u (all
@@ -517,7 +491,7 @@ def _base_and_cans(masks: Sequence[int], n: int) -> tuple[list[int], list[int]]:
         if acc == sig[v]:
             alive ^= 1 << v
     base = [v for v in range(n) if alive >> v & 1]
-    return base, _transpose([cap[b] for b in base], n)
+    return base, _transpose([cap[b] for b in base], n), [sig[b] for b in base]
 
 
 def base_vertices(gen: SetFamily) -> VertexSet:
@@ -528,5 +502,5 @@ def base_vertices(gen: SetFamily) -> VertexSet:
     usable ids survive; other valid choices exist, but the basis they carry
     is the same.
     """
-    base, _ = _base_and_cans(gen.masks, gen.universe)
+    base, _, _ = _base_and_cans(gen.masks, gen.universe)
     return VertexSet.from_members(base, gen.universe)

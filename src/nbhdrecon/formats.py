@@ -102,13 +102,18 @@ def from_graph6(text: str) -> Graph:
 
 
 def to_dot(g: Graph, name: str = "g") -> str:
-    """GraphViz DOT text; isolated vertices get bare node statements."""
+    """GraphViz DOT text; isolated vertices get bare node statements.
+
+    Labels are quoted DOT IDs, with backslashes and double quotes escaped.
+    """
+    ids = ['"' + str(label).replace("\\", "\\\\").replace('"', '\\"') + '"'
+           for label in g.labels]
     lines = [f"graph {name} {{"]
     isolated = [v for v in range(g.n) if g.degree(v) == 0]
     for v in isolated:
-        lines.append(f'  "{g.labels[v]}";')
+        lines.append(f"  {ids[v]};")
     for u, v in g.edges():
-        lines.append(f'  "{g.labels[u]}" -- "{g.labels[v]}";')
+        lines.append(f"  {ids[u]} -- {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -185,7 +190,9 @@ def multiset_to_json_dict(m: NeighborhoodMultiset) -> dict:
             "sets": [list(mask_members(mask)) for mask in m.expanded_masks()]}
 
 
-def _sets_from_json(obj: dict) -> tuple[int, list[list[int]]]:
+def _sets_from_json(obj: dict) -> tuple[int, list[int]]:
+    """The universe and the member masks of a set-family or multiset
+    object, in input order; a set listing a vertex twice is rejected."""
     if not isinstance(obj, dict):
         raise FormatError(f"expected a JSON object, got {type(obj).__name__}")
     if "universe" not in obj or "sets" not in obj:
@@ -196,6 +203,7 @@ def _sets_from_json(obj: dict) -> tuple[int, list[list[int]]]:
         raise FormatError('"universe" must be a non-negative integer')
     if not isinstance(sets, list):
         raise FormatError('"sets" must be an array of integer arrays')
+    masks = []
     for i, members in enumerate(sets):
         if not isinstance(members, list) or not all(type(v) is int for v in members):
             raise FormatError(f'set #{i} is not an integer array')
@@ -206,21 +214,18 @@ def _sets_from_json(obj: dict) -> tuple[int, list[list[int]]]:
             if seen >> v & 1:
                 raise FormatError(f"set #{i} lists vertex {v} twice")
             seen |= 1 << v
-    return universe, sets
+        masks.append(seen)
+    return universe, masks
 
 
 def family_from_json_dict(obj: dict) -> SetFamily:
     """Parse a set family; repeated sets are deduplicated."""
-    universe, sets = _sets_from_json(obj)
-    masks = [sum(1 << v for v in members) for members in sets]
-    return SetFamily(universe, masks)
+    return SetFamily(*_sets_from_json(obj))
 
 
 def multiset_from_json_dict(obj: dict) -> NeighborhoodMultiset:
     """Parse a multiset; repeated arrays encode multiplicity."""
-    universe, sets = _sets_from_json(obj)
-    masks = [sum(1 << v for v in members) for members in sets]
-    return NeighborhoodMultiset(universe, masks)
+    return NeighborhoodMultiset(*_sets_from_json(obj))
 
 
 def parse_json(text: str):

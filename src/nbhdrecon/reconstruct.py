@@ -10,8 +10,10 @@ Three entry points, one per invariant:
   the closed neighborhoods of the base vertices.
 
 One private exact search, :func:`_realize`, sits under all three.  Both
-set-family paths cut their masks down to base vertices, realize them and
-blow each realization up to the whole universe in :func:`_realize_on_base`.
+set-family paths read per-vertex signatures through one bit transpose, cut
+their masks down to base vertices as the transpose of the base vertices'
+signatures, realize the cuts and blow each realization up to the whole
+universe in :func:`_realize_on_base`.
 The convexity reduction suffices: with S the base vertices, the graph
 induced on S is twin-free and none of its closed neighborhoods is a union of
 the others, so the union basis cut down to S is its closed-neighborhood
@@ -47,7 +49,6 @@ from .families import (
     _canonical_order,
     _fixed_points,
     _lattice_irreducible,
-    incidence_signatures,
     irreducible_members,
     lattice_pays,
     member_lattice,
@@ -149,20 +150,22 @@ def equivalence_classes(gen: SetFamily) -> EquivalenceClasses:
     generating family.  The representative of each block is its minimum id.
     """
     n = gen.universe
-    base, canon = _twin_classes(gen)
-    blocks = [0] * len(base)
+    sigs, canon = _twin_classes(gen)
+    blocks = [0] * len(sigs)
     for v, c in enumerate(canon):
         blocks[c.bit_length() - 1] |= 1 << v
-    return EquivalenceClasses(n, tuple(VertexSet(b, n) for b in blocks), tuple(base))
+    return EquivalenceClasses(n, tuple(VertexSet(b, n) for b in blocks),
+                              tuple((b & -b).bit_length() - 1 for b in blocks))
 
 
 def _twin_classes(gen: SetFamily) -> tuple[list[int], list[int]]:
-    """The lowest vertex of each twin class of ``gen``, ascending, and for
-    each vertex the bit ``1 << i`` of its class, i its index in that list."""
-    sig = incidence_signatures(gen).values()  # in vertex order
-    index = {s: i for i, s in enumerate(dict.fromkeys(sig))}
-    canon = [1 << index[s] for s in sig]
-    return [canon.index(1 << i) for i in range(len(index))], canon
+    """The distinct signatures of ``gen`` in the order of their lowest
+    vertex, and for each vertex the bit ``1 << i`` of its class, i the index
+    of its signature in that list."""
+    index: dict[int, int] = {}
+    canon = [1 << index.setdefault(s, len(index))
+             for s in _transpose(gen.masks, gen.universe)]
+    return list(index), canon
 
 
 def quotient_family(gen: SetFamily, classes: EquivalenceClasses) -> SetFamily:
@@ -284,25 +287,22 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
 # ---------------------------------------------------------------------------
 
 
-def _realize_on_base(masks: np.ndarray, base: list[int], canon: list[int],
+def _realize_on_base(sigs: list[int], members: int, canon: list[int],
                      cap: int) -> tuple[list[Graph], int]:
-    """Realize ``masks`` cut down to ``base`` (bit i for ``base[i]``; the
-    cuts must be distinct), each cut once, and blow every realization q up
-    through ``canon``; return up to ``cap`` graphs and the nodes explored.
+    """Realize a family of ``members`` masks cut down to the base vertices,
+    each cut once, and blow every realization q up through ``canon``;
+    return up to ``cap`` graphs and the nodes explored.
 
-    ``canon[v]`` is the mask of the base indices whose closed neighborhoods
-    make up N[v]: w is adjacent to v exactly when a base index of w lies in
-    N_q[r] for a base index r of v, which is symmetric because q is.
-
-    When every vertex is a base vertex (``base`` is ascending, so it is then
-    ``range(n)``), each cut equals its mask and the numpy cut is skipped.
+    ``sigs[i]`` is the signature of the base vertex with index i: bit j is
+    set when member j holds it.  The cut of member j, bit i for base index
+    i, is bit j of every signature, so the cuts are the transpose of
+    ``sigs``; they must be distinct.  ``canon[v]`` is the mask of the base
+    indices whose closed neighborhoods make up N[v]: w is adjacent to v
+    exactly when a base index of w lies in N_q[r] for a base index r of v,
+    which is symmetric because q is.
     """
-    m, n = len(base), len(canon)
-    if m == n:  # base is range(n): every cut is its mask
-        cut = masks
-    else:
-        cut = (((masks[:, None] >> np.array(base, dtype=masks.dtype)) & 1)
-               << np.arange(m, dtype=masks.dtype)).sum(axis=1, dtype=np.uint64)
+    m, n = len(sigs), len(canon)
+    cut = np.array(_transpose(sigs, members), dtype=np.uint64)
     found, nodes = _realize(m, [(c, 1) for c in cut[_canonical_order(cut)].tolist()], cap)
     owners = _transpose(canon, m)  # owners[r]: the vertices with r among their base indices
     graphs = []
@@ -340,8 +340,8 @@ def from_support(f: SetFamily, mode: str = "all",
     """
     t0 = time.perf_counter()
     cap = _check_mode(mode, limit, f.universe)
-    base, canon = _twin_classes(f)
-    candidates, nodes = _realize_on_base(f.mask_array, base, canon, cap)
+    sigs, canon = _twin_classes(f)
+    candidates, nodes = _realize_on_base(sigs, len(f), canon, cap)
     return _verdict(mode, limit, cap, candidates, nodes, t0, f, "support")
 
 
@@ -392,13 +392,13 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     if not (check_convexity_axioms(d) if table is None
             else d.masks[0] == 0 and _fixed_points(table) == len(d)):
         return _verdict(mode, limit, cap, [], 0, t0, d, "convexity")
-    irreducible = (np.array(irreducible_members(u.tolist(), n), dtype=np.intp)
-                   if table is None else _lattice_irreducible(table, u, n))
+    irreducible = (irreducible_members(u.tolist(), n) if table is None
+                   else _lattice_irreducible(table, u, n).tolist())
     del u, table  # freed before the re-verification builds its own 2^n tables
 
-    base, canon = _base_and_cans(irreducible.tolist(), n)  # base nonempty: V is in U
+    _, canon, sigs = _base_and_cans(irreducible, n)  # base nonempty: V is in U
     # the cuts are distinct, since no two members of U agree on S
-    candidates, nodes = _realize_on_base(irreducible, base, canon, cap)
+    candidates, nodes = _realize_on_base(sigs, len(irreducible), canon, cap)
     return _verdict(mode, limit, cap, candidates, nodes, t0, d, "convexity")
 
 

@@ -207,10 +207,8 @@ def oracle_convexity_base(d) -> tuple[list[int], list[int]]:
     incidence signatures complemented within ``len(d)`` bits.  can(v) is the
     mask of the indices i with N[base[i]] inside N[v].  This is the formula
     the library's caps over U's irreducible members replaced."""
-    from nbhdrecon.families import incidence_signatures
-
     full = (1 << len(d)) - 1
-    sig = [full ^ s for s in incidence_signatures(d).values()]
+    sig = [full ^ s for s in oracle_incidence_signatures(d.masks, range(d.universe)).values()]
     base = oracle_base_vertices(sig)
     canon = [sum(1 << i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
              for v in range(d.universe)]

@@ -324,6 +324,13 @@ class TestConvert:
         assert code == 0
         assert dot.startswith("graph g {") and "--" in dot
 
+    def test_dot_escapes_labels(self, capsys, monkeypatch):
+        payload = json.dumps({"n": 2, "labels": ['a"b', "c\\"], "edges": [[0, 1]]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, dot, _ = run(capsys, "convert", "--to", "dot", "-")
+        assert code == 0
+        assert dot == 'graph g {\n  "a\\"b" -- "c\\\\";\n}\n'
+
     def test_roundtrip_identity(self, capsys, tmp_path):
         g = pg(5, [(1, 2), (3, 4)])
         p = tmp_path / "a.g6"

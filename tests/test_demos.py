@@ -1,6 +1,9 @@
 """Smoke tests: every narrative script in demos/ runs to completion, and so
-does the README's Python quick start."""
+does the README's Python quick start; every name the benchmark's workloads
+import from the package exists."""
 
+import ast
+import importlib
 import os
 import re
 import subprocess
@@ -32,3 +35,15 @@ def test_readme_quick_start_runs():
     section = readme.split("## Library quick start", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_benchmark_workload_imports_resolve():
+    # read, not imported: the benchmark's own imports must not run here
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module.split(".")[0] == "nbhdrecon"]
+    assert any(node.module == "nbhdrecon" for node in imports)
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"

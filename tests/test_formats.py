@@ -99,6 +99,10 @@ class TestDot:
         assert '"d";' in dot
         assert dot.startswith("graph g {")
 
+    def test_labels_with_quotes_and_backslashes_are_escaped(self):
+        g = Graph(3, [(0, 1)], labels=['a"b', "c\\", "d"])
+        assert to_dot(g) == 'graph g {\n  "d";\n  "a\\"b" -- "c\\\\";\n}\n'
+
 
 class TestGraphJson:
     def test_roundtrip(self):

@@ -495,13 +495,20 @@ class TestFromDigitalConvexity:
 
     @staticmethod
     def record_base(monkeypatch) -> list:
-        """Record the base vertices and can() each call hands the realizer."""
+        """Record the base vertices and can() each call hands the realizer.
+
+        The realizer gets the base vertices' signatures, not their ids.  The
+        base vertex of index i is read back as the lowest vertex whose can()
+        is {j : sigs[j] subset-of sigs[i]}, the can() of a vertex with
+        signature sigs[i]; only the lowest of such vertices is a base vertex.
+        """
         seen = []
         realize_on_base = reconstruct_module._realize_on_base
 
-        def spy(masks, base, canon, cap):
-            seen.append((base, canon))
-            return realize_on_base(masks, base, canon, cap)
+        def spy(sigs, members, canon, cap):
+            cans = [sum(1 << j for j, t in enumerate(sigs) if t & ~s == 0) for s in sigs]
+            seen.append(([canon.index(c) for c in cans], canon))
+            return realize_on_base(sigs, members, canon, cap)
 
         monkeypatch.setattr(reconstruct_module, "_realize_on_base", spy)
         return seen
@@ -561,9 +568,9 @@ class TestFromDigitalConvexity:
 
 class TestIdentityCut:
     """The realizer's entries are the masks cut down to the base vertices.
-    When every vertex is a base vertex, ``_realize_on_base`` hands over the
-    masks themselves instead of the numpy cut; the entries, answers and
-    node counts must not tell the two apart."""
+    When every vertex is a base vertex, each cut is its mask, so the
+    entries, answers and node counts must equal those of the multiset
+    search on the masks themselves."""
 
     @staticmethod
     def record_entries(monkeypatch) -> list:
