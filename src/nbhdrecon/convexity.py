@@ -19,7 +19,7 @@ from .errors import InputError, ResourceLimitError
 from .families import LATTICE_CEILING, SetFamily, _fixed_points, lattice_pays, member_lattice
 from .graphs import Graph, VertexSet, mask_members
 
-#: The enumeration builds a 2^n lattice table of uint32 masks, so it shares
+#: The enumeration builds 2^n tables indexed by vertex sets, so it shares
 #: the lattice ceiling; past it the instance is out of desk scale.
 CONVEXITY_ENUMERATION_CEILING = LATTICE_CEILING
 

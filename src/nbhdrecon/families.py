@@ -26,6 +26,7 @@ pair compared.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,11 +39,14 @@ from .graphs import Graph, VertexSet, _transpose, as_int, mask_members
 UNION_CLOSURE_CEILING = 1 << 20
 
 
-#: Per-byte popcount and bit reversal tables (``np.bitwise_count`` needs
-#: numpy 2.0; the declared floor is 1.24).
+#: Per-byte popcount and complemented bit reversal tables
+#: (``np.bitwise_count`` needs numpy 2.0; the declared floor is 1.24).
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-_REVERSE8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+_FLIP8 = np.array([255 - int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 _BYTE_SUM = np.uint64(0x0101010101010101)
+_LE64 = np.dtype("<u8")
+#: Offset of the most significant byte in a native uint64.
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0
 
 
 def _canonical_order(masks: np.ndarray) -> np.ndarray:
@@ -51,17 +55,23 @@ def _canonical_order(masks: np.ndarray) -> np.ndarray:
     Of two sets of one size, the one holding the smallest element of their
     symmetric difference has the smaller member tuple.  Reversing the 64
     bits turns that element into the highest differing bit, so within a
-    size the order is the reversed masks, descending.  Popcount and reversal
-    go byte by byte through lookup tables; reversing the little-endian byte
-    order and the bits of each byte reverses the word.  The eight byte
-    popcounts, read back as one word, are summed by a single multiply: times
-    0x0101010101010101 the top byte collects every byte, and the sum, at
-    most 64, cannot carry out of it.
+    size the order is the complemented reversed masks, ascending.  The
+    masks are distinct, so one ``argsort`` over those keys has no ties;
+    a stable ``argsort`` over the uint8 sizes, which numpy runs as a radix
+    sort, then groups them by size and keeps that order inside each group.
+
+    Popcount and complemented reversal go byte by byte through lookup
+    tables.  Reversing the little-endian bytes of the whole array reverses
+    each word's bytes and the order of the words; reading the words back in
+    reverse restores their order.  The eight byte popcounts, read back as
+    one word, are summed by a single multiply: times 0x0101010101010101 the
+    top byte collects every byte, and the sum, at most 64, cannot carry out
+    of it, so that byte is the size.
     """
-    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    size = _POPCOUNT8.take(octets).view("<u8").ravel() * _BYTE_SUM >> np.uint64(56)
-    reversed_ = _REVERSE8.take(octets[:, ::-1]).view("<u8").ravel()
-    return np.lexsort((~reversed_, size))
+    octets = masks.astype(_LE64, copy=False).view(np.uint8)
+    size = (_POPCOUNT8.take(octets).view(_LE64) * _BYTE_SUM).view(np.uint8)[_TOP_BYTE::8]
+    order = _FLIP8.take(octets[::-1]).view(_LE64)[::-1].argsort()
+    return order[size[order].argsort(kind="stable")]
 
 
 def _coerce_mask(member, universe: int) -> int:
@@ -259,14 +269,23 @@ def union_closure(f: SetFamily, max_members: int = UNION_CLOSURE_CEILING) -> Set
     The empty set is always a member (union over the empty subfamily), which
     keeps the correspondence with digital convexity exact: the full vertex
     set is digitally convex and its complement is empty.  Idempotent.
+
+    Each member's new unions are counted as they are found, so the error
+    comes at the first union past ``max_members``, before the closure can
+    double past the ceiling.
     """
     closure = {0}
     for m in f.masks:
-        closure |= {c | m for c in closure}
-        if len(closure) > max_members:
-            raise ResourceLimitError(
-                f"union closure exceeds the configured ceiling of {max_members} members"
-            )
+        grown = set()
+        for c in closure:
+            u = c | m
+            if u not in closure:
+                grown.add(u)
+                if len(closure) + len(grown) > max_members:
+                    raise ResourceLimitError(
+                        f"union closure exceeds the configured ceiling of {max_members} members"
+                    )
+        closure |= grown
     return SetFamily(f.universe, closure)
 
 
@@ -301,8 +320,10 @@ def cn_equal(a: VertexSet, b: VertexSet, gen: SetFamily) -> bool:
 # Subset-lattice kernel
 # ---------------------------------------------------------------------------
 
-#: Largest universe whose 2^n subset lattice is materialized (a 4 MB uint32
-#: table at 20); larger universes always take the pairwise sweeps.
+#: Largest universe whose 2^n subset lattice is materialized; larger
+#: universes always take the pairwise sweeps.  A table cell holds an n-bit
+#: mask in the narrowest unsigned dtype that fits it: uint8 up to n = 8,
+#: uint16 up to 16 and uint32 up to 20 (a 4 MB table at 20).
 LATTICE_CEILING = 20
 
 
@@ -328,10 +349,13 @@ def or_zeta(table: np.ndarray, n: int) -> None:
 def member_lattice(masks: np.ndarray, n: int) -> np.ndarray:
     """``table[X]`` = union of the members of ``masks`` contained in ``X``.
 
-    ``masks`` should be intp: numpy indexes with any other integer type
-    through a cast on a slower path.
+    The table's dtype is the narrowest unsigned one that holds n bits
+    (uint8 up to n = 8, uint16 up to 16, uint32 above), so the OR-zeta
+    passes move a quarter or half of the bytes of a uint32 table; readers
+    take the dtype from the table.  ``masks`` should be intp: numpy indexes
+    with any other integer type through a cast on a slower path.
     """
-    table = np.zeros(1 << n, dtype=np.uint32)
+    table = np.zeros(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
     table[masks] = masks
     or_zeta(table, n)
     return table
@@ -340,18 +364,21 @@ def member_lattice(masks: np.ndarray, n: int) -> np.ndarray:
 def lattice_pays(k: int, n: int) -> bool:
     """True when the 2^n lattice beats a sweep over the k^2 member pairs.
 
-    Pairs win while k^2 < n * 2^n / 128 + 2048.  Measured on a 2-core Xeon
+    Pairs win while k^2 <= n * 2^n / 128 + 300.  Measured on a 2-core Xeon
     at 2.0 GHz (Python 3.11, numpy 2.4) over the convexity path's two
     reads, the axiom check and the irreducible members: the pair sweeps
-    take about 120 ns per k^2 together; the lattice takes 0.4-0.8 ns per
-    n * 2^n cell at n = 18 to 20 (2.1, 6.1 and 16 ms) and 30-80 us at
-    n = 4 to 10, nearly whatever k.  So the pairs win at small k (13-35 us
-    against 28-49 us at n = 4 to 6, k <= 32), but from k ~ 20-30 at n = 6 to
-    10 the lattice does, below the formula's crossover of k ~ 45 (at n = 8,
-    k = 30-44: 60 us against 131-186 us).  On dense G(n, 0.9) at n = 18 to
-    20 (k = 16-44) the pairs take 0.07-0.17 ms and a forced lattice 2-16 ms.
+    take about 10 us plus 60-160 ns per k^2 together; the lattice, in its
+    narrowest dtype, takes 23-46 us at n = 4 to 10, nearly whatever k, and
+    0.3-0.7 ns per n * 2^n cell at n = 18 to 20 (1.5, 4.2 and 14 ms on the
+    smallest families).  So at n <= 10 the two meet near k = 17 (k = 10-19:
+    17-36 us on the pairs against 26-56 us on the lattice; k = 20-29: 50-65
+    against 31-43 us).  Over the 700 convexities of the first
+    ``roundtrip-small`` benchmark queries at each of two seeds, offsets of
+    200 to 500 came within 1 % of each other's total and 2048 took a third
+    longer.  On dense G(n, 0.9) at n = 18 to 20 (k = 16-30) the pairs take
+    under 0.1 ms and the lattice 1.5-17 ms.
     """
-    return n <= LATTICE_CEILING and k * k > ((n << n) >> 7) + 2048
+    return n <= LATTICE_CEILING and k * k > ((n << n) >> 7) + 300
 
 
 def irreducible_members(masks: Iterable[int], universe: int) -> list[int]:
@@ -393,7 +420,7 @@ def _lattice_irreducible(table: np.ndarray, arr: np.ndarray, n: int) -> np.ndarr
     """
     bits = np.intp(1) << np.arange(n, dtype=np.intp)[:, None]
     block = max(1, _IRREDUCIBLE_SLAB // max(n, 1))
-    below = np.empty(len(arr), dtype=np.uint32)
+    below = np.empty(len(arr), dtype=table.dtype)
     for i0 in range(0, len(arr), block):
         rows = arr[i0:i0 + block]
         flips = rows & bits  # row b: bit b of each member
@@ -407,7 +434,7 @@ def _lattice_irreducible(table: np.ndarray, arr: np.ndarray, n: int) -> np.ndarr
 
 def _fixed_points(table: np.ndarray) -> int:
     """How many X have ``table[X] == X``: in a member lattice, the unions."""
-    return np.count_nonzero(table == np.arange(table.size, dtype=np.uint32))
+    return np.count_nonzero(table == np.arange(table.size, dtype=table.dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -419,7 +419,10 @@ def realizes(g: Graph, reference, kind: str) -> bool:
     from g (:func:`~nbhdrecon.convexity._neighborhood_unions`) and checks
     that the reference has as many members as there are distinct N[A], and
     that the complement of each member is one of them; with the counts
-    equal, that is equality of the two families.
+    equal, that is equality of the two families.  That table has 2^n
+    cells, so ``convexity`` raises
+    :class:`~nbhdrecon.errors.ResourceLimitError` past 20 vertices
+    (``CONVEXITY_ENUMERATION_CEILING``).
     """
     if kind == "multiset":
         if not isinstance(reference, NeighborhoodMultiset):

@@ -51,6 +51,15 @@ def jline(text):
     return json.loads(lines[0])
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH,
+    for a child interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def assert_one_error_line(code, out, err):
     assert code == 1
     assert out == ""
@@ -389,16 +398,37 @@ class TestErrors:
         graph = tmp_path / "c4.g6"
         graph.write_text(to_graph6(C4_LABELINGS[0]) + "\n")
         args = [str(graph) if a == "GRAPH" else a for a in args]
-        env = dict(os.environ)
+        env = src_env()
         env.pop("PYTHONUNBUFFERED", None)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.Popen([sys.executable, "-m", "nbhdrecon.cli", *args],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(timeout=120), err) == (1, b"")
+
+    @pytest.mark.parametrize("sets,code,verdict", [
+        pytest.param([[0, 1], [0, 1, 2], [1, 2]], 0, "unique", id="unique"),
+        pytest.param([[0, 1], [1, 2]], 3, "infeasible", id="infeasible"),
+    ])
+    def test_package_runs_as_a_module(self, capsys, monkeypatch, sets, code, verdict):
+        # ``python -m nbhdrecon`` exits with main's code and prints its answer
+        text = json.dumps({"universe": 3, "sets": sets})
+        proc = subprocess.run([sys.executable, "-m", "nbhdrecon", "reconstruct", "--from",
+                               "support", "--all", "-"], input=text.encode(),
+                              capture_output=True, env=src_env(), timeout=120)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        want_code, want_out, _ = run(capsys, "reconstruct", "--from", "support", "--all", "-")
+        got, want = jline(proc.stdout.decode()), jline(want_out)
+        del got["stats"]["elapsed_s"], want["stats"]["elapsed_s"]
+        assert (proc.returncode, proc.stderr, got) == (want_code, b"", want)
+        assert (want_code, want["verdict"]) == (code, verdict)
+
+    def test_package_module_usage_error_exits_one(self):
+        proc = subprocess.run([sys.executable, "-m", "nbhdrecon", "reconstruct", "--from",
+                               "nope", "-"], capture_output=True, env=src_env(), timeout=120)
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert b"invalid choice" in proc.stderr
 
 
 class TestInputContracts:

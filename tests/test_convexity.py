@@ -16,6 +16,7 @@ from nbhdrecon import (
     contains_induced_c4,
     convexity_witness,
     digital_convexity,
+    from_digital_convexity,
     is_digitally_convex,
     realizes,
     union_closure,
@@ -289,6 +290,27 @@ class TestAxiomKernel:
             _assert_axioms_match_oracle(f)
             checked += 1
         assert sides == {False, True}
+
+
+class TestLatticeDtypeBoundaries:
+    """The axiom check and reconstruction from the convexity on each side of
+    the member lattice's dtype boundaries (uint8 up to n = 8, uint16 up to
+    16, uint32 above), on both sides of the pair / lattice cut-over."""
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 20])
+    def test_axioms_and_reconstruction(self, n, lattice_side):
+        rng = random.Random(n)
+        graphs = [random_graph(n, rng, 0.9)]
+        if n <= 9:  # larger convexities, still cheap for the quadratic oracle
+            graphs.append(random_c4_free_graph(n, rng))
+        for g in graphs:
+            d = digital_convexity(g)
+            assert _assert_axioms_match_oracle(d)
+            assert g in from_digital_convexity(d, "all").graphs
+            dropped = SetFamily(n, [m for m in d.masks if m != d.masks[len(d) // 2]])
+            _assert_axioms_match_oracle(dropped)
+            for h in from_digital_convexity(dropped, "all").graphs:
+                assert digital_convexity(h) == dropped
 
 
 class TestSupportAgainstConvexity:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from nbhdrecon.convexity import _neighborhood_unions
 from nbhdrecon.graphs import _transpose
 from nbhdrecon.miner import enumerate_labeled_graphs
 from nbhdrecon.families import (
+    _canonical_order,
+    _fixed_points,
     _lattice_irreducible,
     irreducible_members,
     lattice_pays,
@@ -127,6 +131,31 @@ class TestUnionClosure:
         f = fam(12, *[[v] for v in range(12)])
         with pytest.raises(ResourceLimitError, match="128"):
             union_closure(f, max_members=128)
+
+    def test_closure_of_exactly_the_ceiling_succeeds_and_one_more_raises(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            u = rng.randint(3, 10)
+            f = SetFamily(u, [rng.getrandbits(u) for _ in range(rng.randint(1, 8))])
+            closure = union_closure(f)
+            assert union_closure(f, max_members=len(closure)) == closure
+            with pytest.raises(ResourceLimitError, match=str(len(closure) - 1)):
+                union_closure(f, max_members=len(closure) - 1)
+
+    def test_stops_at_the_ceiling_before_doubling(self):
+        # 21 singletons close to 2^21 sets.  The error must come at the first
+        # union past the ceiling: doubling the closure first peaked at about
+        # 255 bytes per allowed member, stopping at the ceiling at about 97
+        f = fam(21, *[[v] for v in range(21)])
+        ceiling = 1 << 14
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                union_closure(f, max_members=ceiling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * ceiling
 
 
 class TestInclusionTests:
@@ -294,6 +323,50 @@ class TestLatticeIrreducible:
             assert {frozenset(oracle_members(m)) for m in got} == want
 
 
+class TestLatticeDtypeBoundaries:
+    """The member lattice is uint8 up to n = 8, uint16 up to 16 and uint32
+    above.  On each side of each boundary the kernels agree with definition
+    oracles, on families that use the top bit, and the public readers agree
+    with them on both sides of the pair / lattice cut-over."""
+
+    DTYPES = {8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32, 20: np.uint32}
+
+    @staticmethod
+    def family(n):
+        """Seven atoms, the top bit one of them, and unions of two or three."""
+        rng = random.Random(n)
+        atoms = [rng.getrandbits(n) for _ in range(6)] + [1 << (n - 1)]
+        members = set(atoms)
+        for _ in range(12):
+            union = 0
+            for a in rng.sample(atoms, rng.randint(2, 3)):
+                union |= a
+            members.add(union)
+        return atoms, sorted(members)
+
+    @pytest.mark.parametrize("n", sorted(DTYPES))
+    def test_kernels_against_oracles(self, n, lattice_side):
+        atoms, members = self.family(n)
+        arr = np.array(members, dtype=np.intp)
+        table = member_lattice(arr, n)
+        assert table.dtype == self.DTYPES[n]
+        xs = np.arange(1 << n)
+        want = np.zeros(1 << n, dtype=np.int64)
+        for m in members:  # table[X]: the union of the members inside X
+            want[(xs & m) == m] |= m
+        assert np.array_equal(table, want)
+        # the members are unions of the atoms and hold them: same closure
+        assert _fixed_points(table) == len(oracle_union_closure(
+            [frozenset(oracle_members(a)) for a in atoms]))
+        irreducible = oracle_irreducible(frozenset(oracle_members(m)) for m in members)
+        got = _lattice_irreducible(table, arr, n).tolist()
+        assert {frozenset(oracle_members(m)) for m in got} == irreducible
+        assert {frozenset(oracle_members(m))
+                for m in irreducible_members(members, n)} == irreducible
+        f = SetFamily(n, members)
+        assert {frozenset(m.members()) for m in union_basis(f)} == irreducible
+
+
 class TestBaseVertices:
     def test_p3_endpoints(self):
         assert base_vertices(closed_support(P3)) == P3.subset([0, 2])
@@ -402,6 +475,22 @@ class TestCanonicalOrdering:
             f = SetFamily(width, np.array(masks, dtype=np.int64) if as_array else masks)
             assert list(f.masks) == oracle_canonical_order(masks)
             assert f.mask_array.tolist() == list(f.masks)
+
+    @pytest.mark.parametrize("universe,size", [(16, 1), (16, 8), (16, 15),
+                                               (64, 1), (64, 2), (64, 63)])
+    def test_every_mask_of_one_size(self, universe, size):
+        # every size ties, so the order comes from the reversed masks alone
+        masks = [sum(1 << v for v in pick)
+                 for pick in itertools.combinations(range(universe), size)]
+        random.Random(universe + size).shuffle(masks)
+        arr = np.array(masks, dtype=np.uint64)
+        assert arr[_canonical_order(arr)].tolist() == oracle_canonical_order(masks)
+
+    def test_every_mask_at_universe_16(self):
+        masks = list(range(1 << 16))
+        random.Random(16).shuffle(masks)
+        arr = np.array(masks, dtype=np.uint64)
+        assert arr[_canonical_order(arr)].tolist() == oracle_canonical_order(masks)
 
     def test_random_masks_at_universe_64(self):
         rng = random.Random(64)
