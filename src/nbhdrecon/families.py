@@ -18,10 +18,11 @@ signatures are the transpose of the member masks
 (:func:`~nbhdrecon.graphs._transpose`).  The support path's twin classes
 are the vertices of equal signature.  :func:`base_vertices` and the
 convexity path (over the union-irreducible members alone) compare them
-through containment caps, in :func:`_base_and_cans`: cap(u),
+through containment caps, in :func:`_base_and_caps`: cap(u),
 the AND of the members holding u, holds v exactly when sig(u) is a subset of
 sig(v), so every containment among signatures is read off n caps, with no
-pair compared.
+pair compared.  The cap of a base vertex b is the set of vertices v with
+N[b] inside N[v], its owners in the convexity path's blow-up.
 """
 
 from __future__ import annotations
@@ -477,17 +478,17 @@ def spans(candidate: SetFamily, f: SetFamily) -> bool:
     return True
 
 
-def _base_and_cans(masks: Sequence[int], n: int) -> tuple[list[int], list[int], list[int]]:
+def _base_and_caps(masks: Sequence[int], n: int) -> tuple[list[int], list[int], list[int]]:
     """The base vertices of the family ``masks`` generates, ascending,
-    can(v) for every vertex v, the mask of the indices i with
-    sig(base[i]) subset-of sig(v), and the base vertices' signatures.
+    their caps and their signatures.
 
     sig, one int per vertex with bit i set when member i holds it, is the
     transpose of ``masks``.  cap[u], the AND of the members holding u (all
     of the universe when none does), holds v exactly when sig(u) is a
     subset of sig(v), so no pair of signatures is ever compared: below[v],
-    the transpose of the caps, is the set of u with sig(u) subset-of sig(v),
-    and can() is the transpose of the base vertices' caps.
+    the transpose of the caps, is the set of u with sig(u) subset-of sig(v).
+    The cap of base vertex b is then the mask of the vertices that own b:
+    those whose signatures contain sig(b).
 
     Vertices are dropped from the highest id down, so the lowest id in each
     group of interchangeable vertices survives.  A vertex v is removable when
@@ -518,7 +519,7 @@ def _base_and_cans(masks: Sequence[int], n: int) -> tuple[list[int], list[int], 
         if acc == sig[v]:
             alive ^= 1 << v
     base = [v for v in range(n) if alive >> v & 1]
-    return base, _transpose([cap[b] for b in base], n), [sig[b] for b in base]
+    return base, [cap[b] for b in base], [sig[b] for b in base]
 
 
 def base_vertices(gen: SetFamily) -> VertexSet:
@@ -529,5 +530,5 @@ def base_vertices(gen: SetFamily) -> VertexSet:
     usable ids survive; other valid choices exist, but the basis they carry
     is the same.
     """
-    base, _, _ = _base_and_cans(gen.masks, gen.universe)
+    base, _, _ = _base_and_caps(gen.masks, gen.universe)
     return VertexSet.from_members(base, gen.universe)

@@ -13,7 +13,8 @@ One private exact search, :func:`_realize`, sits under all three.  Both
 set-family paths read per-vertex signatures through one bit transpose, cut
 their masks down to base vertices as the transpose of the base vertices'
 signatures, realize the cuts and blow each realization up to the whole
-universe in :func:`_realize_on_base`.
+universe through the owners of each base vertex (its twin block, or its
+containment cap) in :func:`_realize_on_base`.
 The convexity reduction suffices: with S the base vertices, the graph
 induced on S is twin-free and none of its closed neighborhoods is a union of
 the others, so the union basis cut down to S is its closed-neighborhood
@@ -36,23 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import (
-    CONVEXITY_ENUMERATION_CEILING,
-    _neighborhood_unions,
-    check_convexity_axioms,
-)
+from .convexity import CONVEXITY_ENUMERATION_CEILING, _convexity_basis, _neighborhood_unions
 from .errors import InputError, ResourceLimitError, UnrealizableFamilyError
-from .families import (
-    NeighborhoodMultiset,
-    SetFamily,
-    _base_and_cans,
-    _canonical_order,
-    _fixed_points,
-    _lattice_irreducible,
-    irreducible_members,
-    lattice_pays,
-    member_lattice,
-)
+from .families import NeighborhoodMultiset, SetFamily, _base_and_caps, _canonical_order
 from .graphs import Graph, VertexSet, _transpose, as_int, mask_members
 
 #: Default cap on the number of realizations collected in ``all`` mode.
@@ -150,22 +137,19 @@ def equivalence_classes(gen: SetFamily) -> EquivalenceClasses:
     generating family.  The representative of each block is its minimum id.
     """
     n = gen.universe
-    sigs, canon = _twin_classes(gen)
-    blocks = [0] * len(sigs)
-    for v, c in enumerate(canon):
-        blocks[c.bit_length() - 1] |= 1 << v
+    _, blocks = _twin_classes(gen)
     return EquivalenceClasses(n, tuple(VertexSet(b, n) for b in blocks),
                               tuple((b & -b).bit_length() - 1 for b in blocks))
 
 
 def _twin_classes(gen: SetFamily) -> tuple[list[int], list[int]]:
     """The distinct signatures of ``gen`` in the order of their lowest
-    vertex, and for each vertex the bit ``1 << i`` of its class, i the index
-    of its signature in that list."""
-    index: dict[int, int] = {}
-    canon = [1 << index.setdefault(s, len(index))
-             for s in _transpose(gen.masks, gen.universe)]
-    return list(index), canon
+    vertex, and the twin block of each: the mask of the vertices with that
+    signature."""
+    blocks: dict[int, int] = {}
+    for v, s in enumerate(_transpose(gen.masks, gen.universe)):
+        blocks[s] = blocks.get(s, 0) | 1 << v
+    return list(blocks), list(blocks.values())
 
 
 def quotient_family(gen: SetFamily, classes: EquivalenceClasses) -> SetFamily:
@@ -287,44 +271,41 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
 # ---------------------------------------------------------------------------
 
 
-def _realize_on_base(sigs: list[int], members: int, canon: list[int],
+def _realize_on_base(sigs: list[int], members: int, owners: list[int], n: int,
                      cap: int) -> tuple[list[Graph], int]:
     """Realize a family of ``members`` masks cut down to the base vertices,
-    each cut once, and blow every realization q up through ``canon``;
-    return up to ``cap`` graphs and the nodes explored.
+    each cut once, and blow every realization q up to ``n`` vertices
+    through ``owners``; return up to ``cap`` graphs and the nodes explored.
 
     ``sigs[i]`` is the signature of the base vertex with index i: bit j is
     set when member j holds it.  The cut of member j, bit i for base index
     i, is bit j of every signature, so the cuts are the transpose of
-    ``sigs``; they must be distinct.  ``canon[v]`` is the mask of the base
-    indices whose closed neighborhoods make up N[v]: w is adjacent to v
-    exactly when a base index of w lies in N_q[r] for a base index r of v,
+    ``sigs``; they must be distinct.  ``owners[r]`` is the mask of the
+    vertices that own base index r, and N[v] is the union of the closed
+    neighborhoods of the base indices v owns: w is adjacent to v exactly
+    when w owns a base index in N_q[r] for a base index r that v owns,
     which is symmetric because q is.
     """
-    m, n = len(sigs), len(canon)
     cut = np.array(_transpose(sigs, members), dtype=np.uint64)
-    found, nodes = _realize(m, [(c, 1) for c in cut[_canonical_order(cut)].tolist()], cap)
-    owners = _transpose(canon, m)  # owners[r]: the vertices with r among their base indices
+    entries = [(c, 1) for c in cut[_canonical_order(cut)].tolist()]
+    found, nodes = _realize(len(sigs), entries, cap)
     graphs = []
     for q in found:
-        reach = []  # reach[r]: the vertices owning a base index in N_q[r]
+        adj = [0] * n
         for r, row_q in enumerate(q):
             row_q |= 1 << r
-            row = 0
+            row = 0  # the vertices owning a base index in N_q[r]
             while row_q:
                 low = row_q & -row_q
                 row |= owners[low.bit_length() - 1]
                 row_q ^= low
-            reach.append(row)
-        adj = []
-        for v, c in enumerate(canon):
-            row = 0
-            while c:
-                low = c & -c
-                row |= reach[low.bit_length() - 1]
-                c ^= low
-            adj.append(row & ~(1 << v))
-        graphs.append(Graph._from_adj_unchecked(n, tuple(adj)))
+            own = owners[r]
+            while own:
+                low = own & -own
+                adj[low.bit_length() - 1] |= row
+                own ^= low
+        graphs.append(Graph._from_adj_unchecked(
+            n, tuple(row & ~(1 << v) for v, row in enumerate(adj))))
     return graphs, nodes
 
 
@@ -340,8 +321,8 @@ def from_support(f: SetFamily, mode: str = "all",
     """
     t0 = time.perf_counter()
     cap = _check_mode(mode, limit, f.universe)
-    sigs, canon = _twin_classes(f)
-    candidates, nodes = _realize_on_base(sigs, len(f), canon, cap)
+    sigs, blocks = _twin_classes(f)
+    candidates, nodes = _realize_on_base(sigs, len(f), blocks, f.universe, cap)
     return _verdict(mode, limit, cap, candidates, nodes, t0, f, "support")
 
 
@@ -357,23 +338,23 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     The family must satisfy the convexity axioms (contain the empty set and
     the universe, be intersection-closed).  Complementing its members gives
     U, the family of closed neighborhoods of vertex subsets.  With S the
-    base vertices of U and can(v) the base vertices b with N[b] inside
-    N[v], N[v] is the union of N[b] over can(v), so the whole graph is
-    fixed by G[S]: v ~ w exactly when N[can(v)] meets can(w).  G[S] is
-    twin-free and none of its closed neighborhoods is a union of the
+    base vertices of U, every N[v] is the union of the N[b], b in S, that
+    it holds; v owns those b.  So the whole graph is fixed by G[S]: v ~ w
+    exactly when w owns a base vertex in N[b] for a b that v owns.  G[S]
+    is twin-free and none of its closed neighborhoods is a union of the
     others, so the union-irreducible members of U, cut down to S, are its
     closed neighborhoods, each once.  One realizer call on them and one
-    blow-up through can() give every candidate.
+    blow-up through the owners give every candidate.
 
-    S and can() are read from per-vertex signatures over those irreducible
-    members alone (at most n of them for a graph's convexity), not over
-    all of U.  The irreducibles generate U, so a member of U holding u
-    holds an irreducible that holds u: every containment and every
-    OR-equality of signatures comes out as over all of U, as in
+    S and the owners are read from per-vertex signatures over those
+    irreducible members alone (at most n of them for a graph's convexity),
+    not over all of U.  The irreducibles generate U, so a member of U
+    holding u holds an irreducible that holds u: every containment and
+    every OR-equality of signatures comes out as over all of U, as in
     :func:`~nbhdrecon.families.cn_subset`.  The containments come from
     caps, not from pairs of signatures: the AND of the irreducibles holding
-    u is the set of v whose signatures contain u's
-    (:func:`~nbhdrecon.families._base_and_cans`).
+    b is the set of v whose signatures contain b's, the owners of b
+    (:func:`~nbhdrecon.families._base_and_caps`).
     """
     t0 = time.perf_counter()
     cap = _check_mode(mode, limit, d.universe)
@@ -384,21 +365,14 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
             f"convexity reconstruction is capped at "
             f"{CONVEXITY_ENUMERATION_CEILING} vertices (got {n})"
         )
-    u = ((1 << n) - 1) ^ d.mask_array.view(np.int64)  # intp indices, < 2^20
-    # When it pays, one member lattice of U answers both: d passes the axioms
-    # iff U holds V (d's canonical order puts the empty set first) and is
-    # union-closed, and the table gives U's irreducibles.
-    table = member_lattice(u, n) if lattice_pays(len(d), n) else None
-    if not (check_convexity_axioms(d) if table is None
-            else d.masks[0] == 0 and _fixed_points(table) == len(d)):
+    # its lattice is freed on return, before the re-verification builds its own
+    # 2^n table
+    irreducible = _convexity_basis(d)
+    if irreducible is None:
         return _verdict(mode, limit, cap, [], 0, t0, d, "convexity")
-    irreducible = (irreducible_members(u.tolist(), n) if table is None
-                   else _lattice_irreducible(table, u, n).tolist())
-    del u, table  # freed before the re-verification builds its own 2^n tables
-
-    _, canon, sigs = _base_and_cans(irreducible, n)  # base nonempty: V is in U
+    _, owners, sigs = _base_and_caps(irreducible, n)  # base nonempty: V is in U
     # the cuts are distinct, since no two members of U agree on S
-    candidates, nodes = _realize_on_base(sigs, len(irreducible), canon, cap)
+    candidates, nodes = _realize_on_base(sigs, len(irreducible), owners, n, cap)
     return _verdict(mode, limit, cap, candidates, nodes, t0, d, "convexity")
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from helpers import (
@@ -63,8 +65,10 @@ def p3():
 def lattice_side(request, monkeypatch):
     """Force one side of the pair-sweep / subset-lattice cut-over, so small
     families can be checked against exponential oracles on both paths.
-    Universes above the lattice ceiling take the pair sweeps either way."""
-    from nbhdrecon import convexity, families, reconstruct
+    Universes above the lattice ceiling take the pair sweeps either way.
+    Every loaded package module that binds the policy gets the forced one,
+    so no reader of it can escape the side."""
+    from nbhdrecon import families
 
     if request.param == "pairs":
         def pays(k, n):
@@ -72,7 +76,8 @@ def lattice_side(request, monkeypatch):
     else:
         def pays(k, n):
             return n <= families.LATTICE_CEILING
-    monkeypatch.setattr(families, "lattice_pays", pays)
-    monkeypatch.setattr(convexity, "lattice_pays", pays)
-    monkeypatch.setattr(reconstruct, "lattice_pays", pays)
+    for name, module in list(sys.modules.items()):
+        if ((name == "nbhdrecon" or name.startswith("nbhdrecon."))
+                and hasattr(module, "lattice_pays")):
+            monkeypatch.setattr(module, "lattice_pays", pays)
     return request.param

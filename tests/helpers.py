@@ -202,17 +202,18 @@ def oracle_base_vertices(sig: list[int]) -> list[int]:
 
 
 def oracle_convexity_base(d) -> tuple[list[int], list[int]]:
-    """Base vertices and can() of the convexity ``d`` from the signatures
-    over every member of U, the complements of its members: ``d``'s
-    incidence signatures complemented within ``len(d)`` bits.  can(v) is the
-    mask of the indices i with N[base[i]] inside N[v].  This is the formula
-    the library's caps over U's irreducible members replaced."""
+    """Base vertices and their owners in the convexity ``d`` from the
+    signatures over every member of U, the complements of its members:
+    ``d``'s incidence signatures complemented within ``len(d)`` bits.  The
+    owners of base[i] are the mask of the vertices v with N[base[i]] inside
+    N[v].  This is the formula the library's caps over U's irreducible
+    members replaced."""
     full = (1 << len(d)) - 1
     sig = [full ^ s for s in oracle_incidence_signatures(d.masks, range(d.universe)).values()]
     base = oracle_base_vertices(sig)
-    canon = [sum(1 << i for i, b in enumerate(base) if sig[b] & ~sig[v] == 0)
-             for v in range(d.universe)]
-    return base, canon
+    owners = [sum(1 << v for v in range(d.universe) if sig[b] & ~sig[v] == 0)
+              for b in base]
+    return base, owners
 
 
 def lattice_corpus():

@@ -119,7 +119,7 @@ class TestConvex:
         assert jline(out)["digitally_convex"] is False
 
     @pytest.mark.parametrize("bad", ["[-1]", '"ab"', "ab", "[1.5]", "[true]", "[3]",
-                                     '{"0": 1}'])
+                                     '{"0": 1}', "[1,1,2]"])
     def test_malformed_set_exit_one(self, capsys, tmp_path, bad):
         p = tmp_path / "p3.g6"
         p.write_text(to_graph6(pg(3, [(1, 2), (2, 3)])))

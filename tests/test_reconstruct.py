@@ -495,20 +495,23 @@ class TestFromDigitalConvexity:
 
     @staticmethod
     def record_base(monkeypatch) -> list:
-        """Record the base vertices and can() each call hands the realizer.
+        """Record the base vertices and owners each call hands the realizer.
 
         The realizer gets the base vertices' signatures, not their ids.  The
-        base vertex of index i is read back as the lowest vertex whose can()
-        is {j : sigs[j] subset-of sigs[i]}, the can() of a vertex with
-        signature sigs[i]; only the lowest of such vertices is a base vertex.
+        base vertex of index i is read back as the lowest vertex v that owns
+        exactly the indices j with sigs[j] subset-of sigs[i], as a vertex of
+        signature sigs[i] does; only the lowest of such vertices is a base
+        vertex.
         """
         seen = []
         realize_on_base = reconstruct_module._realize_on_base
 
-        def spy(sigs, members, canon, cap):
-            cans = [sum(1 << j for j, t in enumerate(sigs) if t & ~s == 0) for s in sigs]
-            seen.append(([canon.index(c) for c in cans], canon))
-            return realize_on_base(sigs, members, canon, cap)
+        def spy(sigs, members, owners, n, cap):
+            base = [next(v for v in range(n)
+                         if all((o >> v & 1) == (t & ~s == 0) for o, t in zip(owners, sigs)))
+                    for s in sigs]
+            seen.append((base, owners))
+            return realize_on_base(sigs, members, owners, n, cap)
 
         monkeypatch.setattr(reconstruct_module, "_realize_on_base", spy)
         return seen
