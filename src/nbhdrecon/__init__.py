@@ -68,9 +68,7 @@ from .miner import (
     PermutationWitness,
     CollisionAuditReport,
     check_collision_pair,
-    enumerate_labeled_graphs,
     find_collisions,
-    invariant_fingerprint,
     verify_collisions,
     witness_permutation,
 )

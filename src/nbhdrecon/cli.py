@@ -34,7 +34,7 @@ from .formats import (
     to_graph6,
 )
 from .graphs import VertexSet, mask_members
-from .miner import KINDS, collision_arrays, first_pair_checks, verify_collisions
+from .miner import KINDS, collision_arrays, verify_collisions
 from .reconstruct import (
     DEFAULT_SOLUTION_LIMIT,
     ReconstructionResult,
@@ -163,11 +163,10 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_mine(args) -> int:
     """One JSON line per collision group, written in blocks by
-    :func:`~nbhdrecon.formats.collision_json_blocks`; each line equals
-    ``dumps_canonical`` of the group's record."""
+    :func:`~nbhdrecon.formats.collision_json_blocks`, which decides the
+    record; each line equals ``dumps_canonical`` of the group's record."""
     groups = collision_arrays(args.n, args.kind, allow_large=args.deep, jobs=args.jobs)
-    first = first_pair_checks(groups) if groups.kind == "closed-multiset" else None
-    for block in collision_json_blocks(groups, first):
+    for block in collision_json_blocks(groups):
         sys.stdout.write(block)
     return EXIT_OK
 
@@ -247,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow the large sweeps (n=7 is millions of graphs, "
                         "n=8 is 268M graphs, about half a minute)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="partition the sweep across this many worker threads")
+                   help="worker threads for the key pass")
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("verify", help="exhaustively check collision-pair properties")

@@ -33,16 +33,15 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, VertexSet, _transpose, as_int, mask_members
+from .graphs import (
+    MAX_UNIVERSE, Graph, VertexSet, _POPCOUNT8, _transpose, as_int, mask_members)
 
 #: Default cap on union-closure size; past this the instance is out of desk
 #: scale and we fail loudly rather than thrash.
 UNION_CLOSURE_CEILING = 1 << 20
 
 
-#: Per-byte popcount and complemented bit reversal tables
-#: (``np.bitwise_count`` needs numpy 2.0; the declared floor is 1.24).
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+#: Per-byte complemented bit reversal table.
 _FLIP8 = np.array([255 - int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 _BYTE_SUM = np.uint64(0x0101010101010101)
 _LE64 = np.dtype("<u8")
@@ -116,8 +115,8 @@ class SetFamily:
 
     def __init__(self, universe: int, members: Iterable = ()):
         universe = as_int(universe, "universe")
-        if not 0 <= universe <= 64:
-            raise InputError(f"universe must be in 0..64, got {universe}")
+        if not 0 <= universe <= MAX_UNIVERSE:
+            raise InputError(f"universe must be in 0..{MAX_UNIVERSE}, got {universe}")
         self._store(universe, _distinct_masks(members, universe))
 
     @classmethod
@@ -190,8 +189,8 @@ class NeighborhoodMultiset:
         """``members`` is an iterable of sets (repeats encode multiplicity)
         or of ``(set, multiplicity)`` pairs."""
         universe = as_int(universe, "universe")
-        if not 0 <= universe <= 64:
-            raise InputError(f"universe must be in 0..64, got {universe}")
+        if not 0 <= universe <= MAX_UNIVERSE:
+            raise InputError(f"universe must be in 0..{MAX_UNIVERSE}, got {universe}")
         counts: dict[int, int] = {}
         for item in members:
             if isinstance(item, tuple) and len(item) == 2:

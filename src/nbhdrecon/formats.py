@@ -3,7 +3,9 @@
 graph6 follows the standard printable encoding for undirected graphs on at
 most 62 vertices: one size byte (n + 63), then the upper triangle of the
 adjacency matrix read column by column, packed big-endian into 6-bit groups,
-each offset by 63.
+each offset by 63.  ``to_graph6`` encodes one ``Graph``; ``_graph6_bytes``
+encodes a whole array of edge masks at once for ``mine``, and ``to_graph6``
+is its test oracle.
 
 The JSON set-family format is ``{"universe": n, "sets": [[...], ...]}`` with
 each set a sorted integer array; canonical output orders the sets by (size,
@@ -14,10 +16,13 @@ the same shape with repeated arrays.  Graphs serialize as
 JSON output is ``dumps_canonical``: compact, keys sorted.  The one stream
 too large for a dict and a ``json.dumps`` per record, the collision groups
 of ``mine``, is written by ``collision_json_blocks`` straight from the
-miner's arrays: each block of lines is one join over a table of text
-pieces, indexed by an int array that numpy builds from the groups' fields,
-offsets and checks.  ``dumps_canonical`` of the record dict stays its test
-oracle, and the two agree byte for byte.
+miner's arrays, and it decides the record: the fingerprint, the members'
+graph6, and for a closed multiset the pair checks of each group's first two
+members from ``miner.first_pair_checks``.  Each block of lines is one join
+over a table of text pieces, indexed by an int array that numpy builds from
+the groups' fields, offsets and checks.  ``dumps_canonical`` of the record
+dict, built from ``check_collision_pair`` and ``to_graph6`` per group, stays
+its test oracle, and the two agree byte for byte.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import numpy as np
 
 from .errors import FormatError, InputError
 from .families import NeighborhoodMultiset, SetFamily
-from .graphs import Graph, mask_members
-from .miner import CollisionArrays, PairArrays, _graph6_bytes
+from .graphs import MAX_UNIVERSE, Graph, _edge_pairs, mask_members
+from .miner import CollisionArrays, first_pair_checks
 
 GRAPH6_MAX_VERTICES = 62
 GRAPH6_HEADER = ">>graph6<<"
@@ -60,6 +65,27 @@ def to_graph6(g: Graph) -> str:
         buf <<= 6 - filled
         out.append(chr(buf + 63))
     return "".join(out)
+
+
+def _graph6_bytes(n: int, edge_masks: np.ndarray) -> np.ndarray:
+    """(N, width) uint8 array: row i holds the graph6 characters of the graph
+    with edge mask ``edge_masks[i]`` (uint32, so n <= 8).
+
+    graph6 reads the upper triangle column by column and packs six bits a
+    byte, the first bit most significant; each of its bits is one edge-mask
+    bit, moved to its column-order place.
+    """
+    index = {pair: k for k, pair in enumerate(_edge_pairs(n))}
+    bits = [index[row, col] for col in range(1, n) for row in range(col)]
+    width = 1 + (len(bits) + 5) // 6
+    out = np.empty((len(edge_masks), width), dtype=np.uint8)
+    out[:, 0] = n + 63
+    for j in range(1, width):
+        byte = np.zeros(len(edge_masks), dtype=np.uint32)
+        for t, k in enumerate(bits[6 * j - 6:6 * j]):
+            byte |= ((edge_masks >> k) & 1) << (5 - t)
+        out[:, j] = byte + 63
+    return out
 
 
 def from_graph6(text: str) -> Graph:
@@ -201,6 +227,8 @@ def _sets_from_json(obj: dict) -> tuple[int, list[int]]:
     sets = obj["sets"]
     if type(universe) is not int or universe < 0:
         raise FormatError('"universe" must be a non-negative integer')
+    if universe > MAX_UNIVERSE:  # before any mask: a member may be huge
+        raise InputError(f"universe must be in 0..{MAX_UNIVERSE}, got {universe}")
     if not isinstance(sets, list):
         raise FormatError('"sets" must be an array of integer arrays')
     masks = []
@@ -241,34 +269,33 @@ def dumps_canonical(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
-def collision_json_blocks(groups: CollisionArrays,
-                          first: PairArrays | None = None) -> Iterator[str]:
+def collision_json_blocks(groups: CollisionArrays) -> Iterator[str]:
     """The JSON lines of ``mine``, one per collision group, in text blocks of
     :data:`MINE_BLOCK_GROUPS` groups.
 
     Line i is ``dumps_canonical`` of group i's record with its keys in sorted
     order: ``fingerprint``, ``graphs`` (graph6 of the members), ``kind`` and
-    ``n``, and for a closed multiset ``checks`` and ``witness`` from
-    ``first``, the :func:`~nbhdrecon.miner.first_pair_checks` of ``groups``.
-    A block is one join over a table of pieces, indexed by an int array built
-    with numpy: per group its head (the checks), one member text per field,
-    the ``"graphs"`` separator, each member's graph6, the first bare and the
+    ``n``, and for a closed multiset ``checks`` and ``witness``, the
+    :func:`~nbhdrecon.miner.first_pair_checks` of ``groups``.  A block is
+    one join over a table of pieces, indexed by an int array built with
+    numpy: per group its head (the checks), one member text per field, the
+    ``"graphs"`` separator, each member's graph6, the first bare and the
     others after ``","``, and its tail (the witness).  No Python object is
     built per group.
     """
     n = groups.n
-    # Mask m prints as member text m, or 2^n + m after a comma.  A zero field
-    # of a support is padding and prints nothing; a closed neighborhood is
-    # never empty, and an empty open one prints as [].
+    # Mask m prints as member text m, or 2^n + m after a comma.  Padding
+    # prints nothing, and an empty open neighborhood prints as [].
     members = ["[" + ",".join(map(str, mask_members(m))) + "]" for m in range(1 << n)]
-    if groups.kind == "closed-support":
+    if groups._zero_is_padding:
         members[0] = ""
     tail = f'"],"kind":"{groups.kind}","n":{n}'
     count = len(groups.offsets) - 1
-    if first is None:
+    if groups.kind != "closed-multiset":
         heads, tails = ['{"fingerprint":['], [tail + "}\n"]
         head_ids = tail_ids = np.zeros(count, dtype=np.intp)
     else:
+        first = first_pair_checks(groups)
         heads = [
             '{"checks":' + dumps_canonical({
                 "both_contain_c4": bool(f & 8), "edge_transit": bool(f & 4),
@@ -276,7 +303,7 @@ def collision_json_blocks(groups: CollisionArrays,
             }) + ',"fingerprint":[' for f in range(16)]
         head_ids = (8 * first.both_contain_c4 + 4 * first.edge_transit
                     + 2 * first.equal_edge_count + first.orbits_are_cliques).astype(np.intp)
-        witnesses, tail_ids = first._witness_index()
+        witnesses, tail_ids = first.witness_index()
         tails = [tail + ',"witness":' + json.dumps(w) + "}\n" for w in witnesses]
     pieces = np.array([text.encode() for text in (
         members + ["," + text if text else "" for text in members]

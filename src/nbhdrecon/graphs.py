@@ -13,6 +13,8 @@ import numbers
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError, UnsupportedSizeError
 
 #: Largest supported vertex universe.  Masks then fit one machine word on
@@ -24,6 +26,10 @@ ISOMORPHISM_CEILING = 10
 
 #: Marker returned by :func:`girth` for acyclic graphs.
 INFINITE_GIRTH = math.inf
+
+#: Per-byte popcount table (``np.bitwise_count`` needs numpy 2.0; the
+#: declared floor is 1.24).
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
@@ -51,6 +57,12 @@ def _transpose(rows: Iterable[int], width: int) -> list[int]:
             row ^= low
         bit <<= 1
     return out
+
+
+def _edge_pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (u, v), u < v, in lexicographic order: bit k of an edge mask
+    is the k-th of them."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
 def as_int(x, what: str) -> int:

@@ -30,7 +30,6 @@ stop at n = 8, so an edge mask fits a uint32 and a neighborhood one byte.
   their edge masks, sorts them and keeps each run of two or more equal keys:
   the members' edge masks in group order, offsets, and each group's
   fingerprint as one uint8 row of ``fields``.
-* ``graph6_strings`` writes graph6 straight from edge masks.
 * ``pair_checks`` makes every structural check on many closed-multiset
   pairs at once; ``_induced_c4`` is its induced-C4 flag.
   ``verify_collisions`` and ``first_pair_checks`` (for ``mine``) run it on
@@ -38,13 +37,14 @@ stop at n = 8, so an edge mask fits a uint32 and a neighborhood one byte.
 
 The per-graph functions are the definition oracles of these kernels, kept
 in plain Python for auditability and checked against them in the test
-suite: ``invariant_fingerprint`` for the keys, ``formats.to_graph6`` for
-graph6, ``contains_induced_c4`` for the C4 flag, and
+suite: ``contains_induced_c4`` for the C4 flag, and
 ``check_collision_pair`` with ``witness_permutation`` for the pair checks.
+The keys are checked against a per-graph fingerprint kept with the tests.
 ``find_collisions`` hands groups out as ``Graph`` objects with fingerprint
 tuples (``CollisionArrays.fingerprints``).  The ``mine`` and ``verify``
 commands build neither, per member or per group: ``mine`` writes its JSON
-lines from these arrays with ``formats.collision_json_blocks``.
+lines, graph6 and pair checks included, from these arrays with
+``formats.collision_json_blocks``.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InputError, ResourceLimitError, VerificationError
-from .families import _POPCOUNT8
-from .graphs import Graph, VertexSet, contains_induced_c4
+from .graphs import _POPCOUNT8, Graph, VertexSet, _edge_pairs, contains_induced_c4
 
 #: Sweeps are free up to here; larger sizes must be requested explicitly.
 DEFAULT_ENUMERATION_CEILING = 6
@@ -113,28 +112,6 @@ def _check_size(n: int, allow_large: bool) -> int:
     return 1 << (n * (n - 1) // 2)
 
 
-def enumerate_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
-    """Every labeled simple graph on {0..n-1}, exactly once, in edge-mask order.
-
-    Edge bit k corresponds to the k-th pair (u, v), u < v, in lexicographic
-    order.
-    """
-    total = _check_size(n, allow_large)
-    for em in range(total):
-        yield Graph.from_edge_mask(n, em)
-
-
-def invariant_fingerprint(g: Graph, kind: str) -> tuple[int, ...]:
-    """Canonical serialization of the chosen invariant as a mask tuple."""
-    if kind == "closed-multiset":
-        return tuple(sorted(g.closed_mask(v) for v in range(g.n)))
-    if kind == "closed-support":
-        return tuple(sorted({g.closed_mask(v) for v in range(g.n)}))
-    if kind == "open-multiset":
-        return tuple(sorted(g.adjacency_mask(v) for v in range(g.n)))
-    raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class CollisionGroup:
     """Two or more distinct labeled graphs sharing one invariant value."""
@@ -143,12 +120,6 @@ class CollisionGroup:
     n: int
     fingerprint: tuple[int, ...]
     graphs: tuple[Graph, ...]
-
-
-def _edge_pairs(n: int) -> list[tuple[int, int]]:
-    """The pairs (u, v), u < v, in lexicographic order: bit k of an edge mask
-    is the k-th of them."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
 def _neighborhood_rows(n: int, edge_masks: np.ndarray, closed: bool) -> np.ndarray:
@@ -199,8 +170,8 @@ def _keys_from_rows(n: int, kind: str, rows: np.ndarray) -> np.ndarray:
     Mask i of the fingerprint goes to bits n*(n-1-i) and up, the smallest
     mask most significant, so n masks of n bits fill at most 64 bits.  A
     support that is a proper prefix of another has the smaller key, as its
-    padding zeros sit at the back.  Key order is therefore the tuple order of
-    :func:`invariant_fingerprint`.
+    padding zeros sit at the back.  Key order is therefore the order of the
+    fingerprints as sorted mask tuples.
     """
     _canonical_rows(n, kind, rows)
     keys = np.zeros(rows.shape[1], dtype=np.uint64)
@@ -288,13 +259,19 @@ class CollisionArrays:
     offsets: np.ndarray
 
     @property
+    def _zero_is_padding(self) -> bool:
+        """Whether a zero field is padding rather than an empty mask: true
+        for a closed kind, as no closed neighborhood is empty; open kinds
+        have no padding."""
+        return self.kind != "open-multiset"
+
+    @property
     def fingerprints(self) -> tuple[tuple[int, ...], ...]:
         """Each group's fingerprint as a mask tuple, padding dropped: one
         tuple per group, which the sweep commands never build."""
-        # A closed mask is never zero, so a zero field of the support is padding.
         rows = self.fields.tolist()
-        if self.kind == "closed-support":
-            return tuple(tuple(f for f in row if f) for row in rows)
+        if self._zero_is_padding:
+            return tuple(tuple(filter(None, row)) for row in rows)
         return tuple(map(tuple, rows))
 
     def first_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -392,32 +369,6 @@ def find_collisions(n: int, kind: str = "closed-multiset",
     bounds = arrays.offsets.tolist()
     return [CollisionGroup(kind, n, fp, tuple(graphs[lo:hi]))
             for fp, lo, hi in zip(arrays.fingerprints, bounds, bounds[1:])]
-
-
-def graph6_strings(n: int, edge_masks: np.ndarray) -> list[str]:
-    """graph6 of every graph in the uint32 array ``edge_masks``."""
-    g6 = _graph6_bytes(n, edge_masks)
-    return g6.view(f"S{g6.shape[1]}").ravel().astype(str).tolist()
-
-
-def _graph6_bytes(n: int, edge_masks: np.ndarray) -> np.ndarray:
-    """(N, width) uint8 array: row i holds the graph6 characters of graph i.
-
-    graph6 reads the upper triangle column by column and packs six bits a
-    byte, the first bit most significant; each of its bits is one edge-mask
-    bit, moved to its column-order place.
-    """
-    index = {pair: k for k, pair in enumerate(_edge_pairs(n))}
-    bits = [index[row, col] for col in range(1, n) for row in range(col)]
-    width = 1 + (len(bits) + 5) // 6
-    out = np.empty((len(edge_masks), width), dtype=np.uint8)
-    out[:, 0] = n + 63
-    for j in range(1, width):
-        byte = np.zeros(len(edge_masks), dtype=np.uint32)
-        for t, k in enumerate(bits[6 * j - 6:6 * j]):
-            byte |= ((edge_masks >> k) & 1) << (5 - t)
-        out[:, j] = byte + 63
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +545,10 @@ class PairArrays:
         return (self.has_witness & self.equal_edge_count & self.orbits_are_cliques
                 & self.edge_transit & self.both_contain_c4)
 
-    def cycle_notations(self) -> list[str | None]:
-        """:meth:`PermutationWitness.cycle_notation` of each pair's witness."""
-        notations, which = self._witness_index()
-        return list(map(notations.__getitem__, which.tolist()))
-
-    def _witness_index(self) -> tuple[list[str | None], np.ndarray]:
-        """The distinct cycle notations of the witnesses, then None, and per
-        pair the index of its own entry in that list."""
+    def witness_index(self) -> tuple[list[str | None], np.ndarray]:
+        """The distinct :meth:`PermutationWitness.cycle_notation` of the
+        witnesses, then None, and per pair the index of its own entry in that
+        list: a pair without a witness points at the None."""
         _, first, which = np.unique(_witness_codes(self.sigma), return_index=True,
                                     return_inverse=True)
         notations = [PermutationWitness(tuple(sigma)).cycle_notation()

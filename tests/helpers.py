@@ -12,9 +12,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from nbhdrecon import Graph, SetFamily, VertexSet, contains_induced_c4, digital_convexity
-from nbhdrecon.families import _POPCOUNT8
-from nbhdrecon.graphs import mask_members
+from nbhdrecon import (
+    Graph, InputError, SetFamily, VertexSet, contains_induced_c4, digital_convexity)
+from nbhdrecon.graphs import _POPCOUNT8, mask_members
+from nbhdrecon.miner import KINDS, _check_size
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +287,6 @@ def oracle_least_witness(g: Graph, h: Graph) -> tuple[int, ...] | None:
 def brute_force_multiset_realizations(m) -> list[Graph]:
     """All labeled graphs with the given closed multiset, by full enumeration."""
     from nbhdrecon import neighborhood_multiset
-    from nbhdrecon.miner import enumerate_labeled_graphs
 
     n = m.universe
     assert n <= 5, "oracle is exponential; keep it tiny"
@@ -374,6 +374,29 @@ def girth5_edge_masks(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Per-graph reference for the mine and verify commands
 # ---------------------------------------------------------------------------
+
+
+def enumerate_labeled_graphs(n: int, allow_large: bool = False):
+    """Every labeled simple graph on {0..n-1}, exactly once, in edge-mask
+    order, under the miner's size ceilings.
+
+    Edge bit k corresponds to the k-th pair (u, v), u < v, in lexicographic
+    order.
+    """
+    for em in range(_check_size(n, allow_large)):
+        yield Graph.from_edge_mask(n, em)
+
+
+def invariant_fingerprint(g: Graph, kind: str) -> tuple[int, ...]:
+    """The miner's fingerprint of one graph: the chosen invariant's masks,
+    sorted."""
+    if kind == "closed-multiset":
+        return tuple(sorted(g.closed_mask(v) for v in range(g.n)))
+    if kind == "closed-support":
+        return tuple(sorted({g.closed_mask(v) for v in range(g.n)}))
+    if kind == "open-multiset":
+        return tuple(sorted(g.adjacency_mask(v) for v in range(g.n)))
+    raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 def oracle_mine_lines(n: int, kind: str, jobs: int = 1) -> list[str]:

@@ -28,7 +28,7 @@ from nbhdrecon import (
 )
 from nbhdrecon.cli import main as cli_main
 from nbhdrecon.formats import multiset_to_json_dict
-from nbhdrecon.miner import enumerate_labeled_graphs, find_collisions
+from nbhdrecon.miner import find_collisions
 
 from helpers import (
     C4_LABELINGS,
@@ -38,6 +38,7 @@ from helpers import (
     TWO_TRIANGLES,
     UNIQUE_WITH_C4,
     WORKED_EXAMPLE,
+    enumerate_labeled_graphs,
     girth5_edge_masks,
     random_c4_free_graph,
     random_graph,

@@ -232,6 +232,13 @@ class TestMineAndVerify:
         assert "\\\\" in out  # a graph6 backslash, escaped
 
     @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_collision_json_blocks_are_the_mine_output(self, capsys, n):
+        # the blocks decide the record: a closed multiset's carry its checks
+        blocks = "".join(formats.collision_json_blocks(miner.collision_arrays(n)))
+        assert run(capsys, "mine", "--n", str(n)) == (0, blocks, "")
+        assert '"checks":' in blocks
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
     def test_mine_pair_slabs_change_nothing(self, capsys, monkeypatch, n):
         # the first pairs are checked a slab at a time and the slabs joined
         _, want, _ = run(capsys, "mine", "--n", str(n))
@@ -437,6 +444,14 @@ class TestInputContracts:
         p = tmp_path / "empty.json"
         p.write_text(json.dumps({"universe": 0, "sets": []}))
         assert_one_error_line(*run(capsys, "reconstruct", "--from", source, str(p)))
+
+    @pytest.mark.parametrize("source", ["multiset", "support", "dc"])
+    def test_universe_past_ceiling_exit_one(self, capsys, tmp_path, source):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"universe": 10**8, "sets": [[10**8 - 1]]}))
+        code, out, err = run(capsys, "reconstruct", "--from", source, str(p))
+        assert_one_error_line(code, out, err)
+        assert err == "error: universe must be in 0..64, got 100000000\n"
 
     @pytest.mark.parametrize("source", ["multiset", "support", "dc"])
     @pytest.mark.parametrize("sets", [[[0, 0], [0, 1]], [[1, 1]], [[0, 1], [1, 0, 1]]])

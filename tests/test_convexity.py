@@ -22,11 +22,11 @@ from nbhdrecon import (
     union_closure,
 )
 from nbhdrecon.families import lattice_pays
-from nbhdrecon.miner import enumerate_labeled_graphs
 
 from helpers import (
     P3,
     WORKED_EXAMPLE,
+    enumerate_labeled_graphs,
     oracle_first_unclosed_pair,
     oracle_is_convex,
     random_c4_free_graph,

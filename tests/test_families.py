@@ -27,7 +27,6 @@ from nbhdrecon import (
 from nbhdrecon import families
 from nbhdrecon.convexity import _neighborhood_unions
 from nbhdrecon.graphs import _transpose
-from nbhdrecon.miner import enumerate_labeled_graphs
 from nbhdrecon.families import (
     _canonical_order,
     _fixed_points,
@@ -42,6 +41,7 @@ from helpers import (
     P3,
     WORKED_EXAMPLE,
     WORKED_EXAMPLE_SUPPORT,
+    enumerate_labeled_graphs,
     lattice_corpus,
     nbhd_sets,
     oracle_base_vertex_set,

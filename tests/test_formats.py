@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -165,6 +166,20 @@ class TestFamilyJson:
     def test_out_of_universe_members_rejected(self):
         with pytest.raises(FormatError):
             family_from_json_dict({"universe": 2, "sets": [[2]]})
+
+    @pytest.mark.parametrize("parse", [family_from_json_dict, multiset_from_json_dict])
+    def test_universe_ceiling_checked_before_any_member(self, parse):
+        # a member below a huge universe would cost a (member + 1)-bit mask:
+        # 12 MiB for this one, 128 GiB for one near 2^40
+        obj = {"universe": 10**8, "sets": [[10**8 - 1]]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"^universe must be in 0\.\.64, got 100000000$"):
+                parse(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("parse", [family_from_json_dict, multiset_from_json_dict])
     def test_repeated_vertex_rejected(self, parse):

@@ -19,9 +19,10 @@ from nbhdrecon import (
     is_isomorphic,
 )
 from nbhdrecon.graphs import _transpose, mask_members
-from nbhdrecon.miner import enumerate_labeled_graphs
 
-from helpers import P3, UNIQUE_WITH_C4, WORKED_EXAMPLE, girth5_edge_masks, random_graph, vs1
+from helpers import (
+    P3, UNIQUE_WITH_C4, WORKED_EXAMPLE, enumerate_labeled_graphs, girth5_edge_masks,
+    random_graph, vs1)
 
 
 def complete(n):

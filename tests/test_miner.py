@@ -17,20 +17,25 @@ from nbhdrecon import (
     contains_induced_c4,
     from_multiset,
 )
-from nbhdrecon import miner
+from nbhdrecon import formats, miner
 from nbhdrecon.miner import (
     PermutationWitness,
     check_collision_pair,
-    enumerate_labeled_graphs,
     find_collisions,
-    invariant_fingerprint,
     verify_collisions,
     witness_permutation,
 )
 
 from nbhdrecon.formats import collision_json_blocks, to_graph6
 
-from helpers import nbhd_sets, oracle_collision_pairs, oracle_least_witness, random_graph
+from helpers import (
+    enumerate_labeled_graphs,
+    invariant_fingerprint,
+    nbhd_sets,
+    oracle_collision_pairs,
+    oracle_least_witness,
+    random_graph,
+)
 
 
 class TestEnumeration:
@@ -528,13 +533,13 @@ class TestArrayKernels:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_graph6_every_graph(self, n):
         ems = all_edge_masks(n)
-        assert miner.graph6_strings(n, ems) == \
+        assert graph6_strings(n, ems) == \
             [to_graph6(Graph.from_edge_mask(n, em)) for em in ems.tolist()]
 
     @pytest.mark.parametrize("n,seed", [(7, 7), (8, 8)])
     def test_graph6_seeded(self, n, seed):
         ems = seeded_edge_masks(n, 2000, seed)
-        assert miner.graph6_strings(n, ems) == \
+        assert graph6_strings(n, ems) == \
             [to_graph6(Graph.from_edge_mask(n, em)) for em in ems.tolist()]
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -552,7 +557,8 @@ class TestArrayKernels:
         h = np.array([edge_mask(b) for _, b in pairs], dtype=np.uint32)
         got = miner.pair_checks(n, g, h)
         assert got.sigma.dtype == np.uint8
-        notations = got.cycle_notations()
+        distinct, which = got.witness_index()
+        notations = [distinct[i] for i in which.tolist()]
         for i, (a, b) in enumerate(pairs):
             ref = check_collision_pair(a, b)
             assert bool(got.has_witness[i]) == (ref.witness is not None)
@@ -599,7 +605,7 @@ class TestArrayKernels:
         monkeypatch.setattr(miner.Graph, "from_edge_mask", refuse)
         monkeypatch.setattr(miner.Graph, "_from_adj_unchecked", refuse)
         groups = miner.collision_arrays(5, "closed-multiset")
-        graph6 = miner.graph6_strings(5, groups.edge_masks)
+        graph6 = graph6_strings(5, groups.edge_masks)
         bounds = groups.offsets.tolist()
         assert len(groups.fingerprints) == 40
         assert len([graph6[lo:hi] for lo, hi in zip(bounds, bounds[1:])]) == 40
@@ -637,7 +643,7 @@ class TestArrayKernels:
         # np.bitwise_count arrived in numpy 2.0; the declared floor is 1.24
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         groups = miner.collision_arrays(5, "closed-multiset")
-        graph6 = miner.graph6_strings(5, groups.edge_masks)
+        graph6 = graph6_strings(5, groups.edge_masks)
         bounds = groups.offsets.tolist()
         assert len([graph6[lo:hi] for lo, hi in zip(bounds, bounds[1:])]) == 40
         assert miner.pair_checks(5, *groups.first_pairs()).all_ok().all()
@@ -710,6 +716,13 @@ class TestVerifyErrors:
         with pytest.raises(VerificationError) as exc:
             verify_collisions(5)
         assert str(exc.value) == f"edge transit fails: {g!r} / {h!r}"
+
+
+def graph6_strings(n, edge_masks):
+    """graph6 of every graph in the uint32 array ``edge_masks``, from the
+    array encoder of ``mine``."""
+    g6 = formats._graph6_bytes(n, edge_masks)
+    return g6.view(f"S{g6.shape[1]}").ravel().astype(str).tolist()
 
 
 def edge_mask(g):

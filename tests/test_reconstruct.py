@@ -28,7 +28,6 @@ from nbhdrecon import (
 from nbhdrecon import reconstruct as reconstruct_module
 from nbhdrecon.families import lattice_pays
 from nbhdrecon.graphs import mask_members, mask_of
-from nbhdrecon.miner import enumerate_labeled_graphs
 from nbhdrecon.reconstruct import EquivalenceClasses, equivalence_classes, quotient_family
 
 from helpers import (
@@ -37,6 +36,7 @@ from helpers import (
     WORKED_EXAMPLE,
     WORKED_EXAMPLE_EDGES,
     brute_force_multiset_realizations,
+    enumerate_labeled_graphs,
     lattice_corpus,
     nbhd_sets,
     oracle_canonical_order,
@@ -185,7 +185,6 @@ class TestQuotientFamily:
         # the quotient family equals the closed multiset of the graph induced
         # on class representatives (all multiplicities 1)
         from nbhdrecon import induced_subgraph
-        from nbhdrecon.miner import enumerate_labeled_graphs
 
         for n in range(1, 7):
             for g in enumerate_labeled_graphs(n):
@@ -329,8 +328,6 @@ class TestFromMultiset:
         assert feasible and infeasible  # the fuzz hit both outcomes
 
     def test_exhaustive_agreement_with_bruteforce_n4(self):
-        from nbhdrecon.miner import enumerate_labeled_graphs
-
         seen = set()
         for g in enumerate_labeled_graphs(4):
             m = neighborhood_multiset(g)
