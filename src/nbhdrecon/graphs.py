@@ -74,14 +74,6 @@ def as_int(x, what: str) -> int:
     return int(x)
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    """Bitmask with a bit set for every listed vertex."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 @dataclass(frozen=True, slots=True)
 class VertexSet:
     """Immutable subset of ``{0, ..., universe - 1}``.

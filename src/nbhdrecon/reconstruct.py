@@ -207,14 +207,28 @@ def _realize(n: int, entries, cap: int) -> tuple[list[tuple[int, ...]], int]:
     node count is the placements that survive this check.  Completed
     assignments are realizations by construction; the caller re-verifies
     the ones it returns.
+
+    Before any node, a count refutes: v lies in exactly |N[v]| entries,
+    counted with multiplicity, so the entry sizes, each repeated by its
+    multiplicity, must equal the vertices' incidence counts once both are
+    sorted (which also fixes the total multiplicity at n).  The degree sum
+    must be even and every vertex must lie in some entry; neither follows
+    from the count.
     """
-    if (sum(mult for _, mult in entries) != n  # total multiplicity, degree parity
-            or sum(mult * (mask.bit_count() - 1) for mask, mult in entries) % 2):
-        return [], 0
     entry_masks = [mask for mask, _ in entries]
     remaining = [mult for _, mult in entries]
     inc = _transpose(entry_masks, n)
-    if not all(inc):
+    sizes = list(map(int.bit_count, entry_masks))
+    counts = list(map(int.bit_count, inc))
+    if max(remaining, default=1) > 1:  # an entry of multiplicity k counts k times
+        for mask, mult in entries:
+            if mult > 1:
+                sizes += [mask.bit_count()] * (mult - 1)
+                for x in mask_members(mask):
+                    counts[x] += mult - 1
+    sizes.sort()
+    counts.sort()
+    if sizes != counts or (sum(sizes) - n) % 2 or not all(inc):
         return [], 0
 
     nodes = 0
@@ -228,21 +242,22 @@ def _realize(n: int, entries, cap: int) -> tuple[list[tuple[int, ...]], int]:
         if not free:
             found.append(tuple(assigned[v] & ~(1 << v) for v in range(n)))
             return len(found) >= cap
-        sizes = list(map(int.bit_count, doms))
-        k = sizes.index(min(sizes))
+        k = doms.index(min(doms, key=int.bit_count))
         v, dom = free[k], doms[k]
         free, doms = free[:k] + free[k + 1:], doms[:k] + doms[k + 1:]
+        # dom lies inside inc[v], so ~inc[v] already drops the entry taken
+        inc_v = inc[v]
+        keep_out = ~inc_v
         while dom:
             low = dom & -dom
             dom ^= low
             j = low.bit_length() - 1
             mask = entry_masks[j]
             remaining[j] -= 1
-            keep = ~low if remaining[j] == 0 else -1
-            keep_in, keep_out = keep & inc[v], keep & ~inc[v]
+            keep_in = inc_v if remaining[j] else inc_v ^ low
             narrowed = [d & (keep_in if (mask >> u) & 1 else keep_out)
                         for u, d in zip(free, doms)]
-            if all(narrowed):
+            if 0 not in narrowed:
                 nodes += 1
                 assigned[v] = mask
                 if walk(free, narrowed):
@@ -316,8 +331,9 @@ def from_support(f: SetFamily, mode: str = "all",
     Twins lie in the same members of f, so cut down to the lowest vertex of
     each twin class the members are the closed neighborhoods of the quotient
     graph, each once; blowing each class up into a clique of twins gives
-    every candidate.  The realizer rejects a vertex in no member and a
-    member count other than the class count.
+    every candidate.  Before it searches, the realizer rejects a vertex in
+    no member, a member count other than the class count and cut sizes that
+    fail its count.
     """
     t0 = time.perf_counter()
     cap = _check_mode(mode, limit, f.universe)

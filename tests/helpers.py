@@ -113,6 +113,14 @@ def oracle_support(g: Graph) -> frozenset:
     return frozenset(nbhd_sets(g).values())
 
 
+def mask_of(vertices) -> int:
+    """Bitmask with a bit set for every listed vertex."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
 def oracle_members(mask: int) -> tuple[int, ...]:
     """Set bits of ``mask``, ascending, by testing every position."""
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)

@@ -27,7 +27,7 @@ from nbhdrecon import (
 )
 from nbhdrecon import reconstruct as reconstruct_module
 from nbhdrecon.families import lattice_pays
-from nbhdrecon.graphs import mask_members, mask_of
+from nbhdrecon.graphs import mask_members
 from nbhdrecon.reconstruct import EquivalenceClasses, equivalence_classes, quotient_family
 
 from helpers import (
@@ -38,6 +38,7 @@ from helpers import (
     brute_force_multiset_realizations,
     enumerate_labeled_graphs,
     lattice_corpus,
+    mask_of,
     nbhd_sets,
     oracle_canonical_order,
     oracle_convexity,
@@ -377,8 +378,13 @@ class TestFromSupport:
         SetFamily(4, [0b0001, 0b0010, 0b0101, 0b0110]),
         SetFamily(2, [0b01, 0b10, 0b11]),
         SetFamily(3, [0b011, 0b110]),
+        # four members for four twin classes, every vertex covered and an
+        # even degree sum, but sizes [1, 2, 3, 4] against incidences
+        # [2, 2, 3, 3]; the search alone places two vertices before it fails
+        SetFamily(4, [0b0001, 0b0110, 0b1011, 0b1111]),
     ], ids=["uncovered-vertex", "uncovered-vertex-counts-agree",
-            "more-members-than-classes", "fewer-members-than-classes"])
+            "more-members-than-classes", "fewer-members-than-classes",
+            "sizes-fail-count"])
     @pytest.mark.parametrize("mode", ["first", "all", "count"])
     def test_malformed_family_rejected_before_search(self, f, mode):
         result = from_support(f, mode)
@@ -866,7 +872,7 @@ class TestResultContract:
 
     # The same answer tuples from ``from_support`` on the ``random_supports``
     # corpus, 12,200 calls, which pins the path past the realizable n <= 4.
-    SUPPORT_ANSWERS_SHA256 = "7d340044a65574830e9ff598749dd3d14e237ae6cc280cc8085fe616cf537b62"
+    SUPPORT_ANSWERS_SHA256 = "517dd549d7a51f771e2b88a1e7d3ffe279d49e391593ed7c49d4c19f81dac85c"
 
     def test_support_answers_pinned_on_random_families(self):
         digest = hashlib.sha256()
@@ -902,7 +908,7 @@ class TestResultContract:
     # cut-over.  Without the empty set or V a family fails the axioms
     # before any search.
     SMALL_CONVEXITY_ANSWERS_SHA256 = (
-        "30f0c28307ad142d312ddb65968edba6644cff1fc28afcff35a513d8ca897d33")
+        "189a83a0e2f46f996b0a6065756507d5b443d02322fab729341a3fb1a2feb80b")
 
     def test_small_convexity_answers_pinned_on_both_sides(self, lattice_side):
         digest = hashlib.sha256()
@@ -921,6 +927,82 @@ class TestResultContract:
                     r = from_digital_convexity(SetFamily(n, set(d.masks) - {gone}), "all")
                     assert (r.verdict, r.nodes_explored) == ("infeasible", 0)
         assert digest.hexdigest() == self.SMALL_CONVEXITY_ANSWERS_SHA256
+
+    # The same answer tuples from ``from_multiset`` in ``all`` and ``first``
+    # mode and from ``from_support`` in ``all`` mode on 60 seeded G(n, 0.9)
+    # graphs at n = 12-14.  Every input is realizable, so the count never
+    # refutes one and the digest pins the search itself: which vertex it
+    # places next, how it narrows the domains and how many nodes it takes.
+    DENSE_ANSWERS_SHA256 = (
+        "8d44f87a99b1ba1b9a2754444b43afe78a2eac77f118027537b9cc0e21e7b156")
+
+    def test_dense_search_answers_pinned(self):
+        digest = hashlib.sha256()
+        rng = random.Random(9)
+        for _ in range(60):
+            g = random_graph(rng.randint(12, 14), rng, 0.9)
+            m = neighborhood_multiset(g)
+            for r in (from_multiset(m, "all"), from_multiset(m, "first"),
+                      from_support(closed_support(g), "all")):
+                assert r.verdict != "infeasible"
+                adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
+                digest.update(repr((r.verdict, adj, r.truncated, r.nodes_explored)).encode())
+        assert digest.hexdigest() == self.DENSE_ANSWERS_SHA256
+
+
+def count_refutes(m: NeighborhoodMultiset) -> bool:
+    """True when the entry sizes, each repeated by its multiplicity, differ
+    from the vertices' incidence counts once both are sorted."""
+    masks = m.expanded_masks()
+    sizes = sorted(sum(mask >> v & 1 for v in range(m.universe)) for mask in masks)
+    counts = sorted(sum(mask >> v & 1 for mask in masks) for v in range(m.universe))
+    return sizes != counts
+
+
+class TestCountRefutation:
+    """Vertex v lies in exactly |N[v]| closed neighborhoods, so the realizer
+    refutes, before any node, an input whose sorted entry sizes differ from
+    its sorted incidence counts."""
+
+    def test_refutes_only_unrealizable_moves(self):
+        # every move of one vertex from one closed neighborhood to another,
+        # against the brute-force grouping of all labeled graphs by multiset
+        refuted = 0
+        for n in range(1, 6):
+            realizations = defaultdict(set)
+            for g in enumerate_labeled_graphs(n):
+                realizations[neighborhood_multiset(g)].add(g)
+            moved = set()
+            for m in realizations:
+                closed = m.expanded_masks()
+                for i, a in enumerate(closed):
+                    for j, b in enumerate(closed):
+                        for x in mask_members(a & ~b) if i != j else ():
+                            out = list(closed)
+                            out[i] ^= 1 << x
+                            out[j] |= 1 << x
+                            if out[i]:
+                                moved.add(NeighborhoodMultiset(n, out))
+            for pm in moved:
+                expected = realizations.get(pm, set())
+                result = from_multiset(pm, "all", 1024)
+                assert not result.truncated and len(result.graphs) == len(expected)
+                assert set(result.graphs) == expected
+                if count_refutes(pm):
+                    refuted += 1
+                    assert (result.verdict, result.nodes_explored) == ("infeasible", 0)
+        assert refuted
+
+    def test_twin_entry_counted_with_multiplicity(self):
+        # the path 0-1-2 with 3 a closed twin of 1: N[1] = N[3] is one entry
+        # of multiplicity 2, and the sizes [3, 3, 4, 4] match the incidence
+        # counts only when both of its copies are counted
+        g = Graph(4, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)])
+        m = neighborhood_multiset(g)
+        assert (0b1111, 2) in m.entries and not count_refutes(m)
+        result = from_multiset(m, "all", 64)
+        assert g in result.graphs and result.nodes_explored > 0
+        assert set(result.graphs) == set(brute_force_multiset_realizations(m))
 
 
 PATHS = pytest.mark.parametrize("reconstruct,invariant", [
