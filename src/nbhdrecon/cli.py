@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .convexity import convexity_witness, digital_convexity
-from .errors import InputError, NbhdReconError
+from .errors import FormatError, InputError, NbhdReconError
 from .families import neighborhood_multiset
 from .formats import (
     collision_json_blocks,
@@ -55,8 +55,11 @@ _VERDICT_EXIT = {"unique": EXIT_OK, "ambiguous": EXIT_AMBIGUOUS,
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"input is not UTF-8: {exc.reason}", position=exc.start) from exc
 
 
 def _load_graph(text: str):
@@ -142,20 +145,17 @@ def cmd_convex(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    text = _read_input(args.input)
-    obj = parse_json(text)
-    if args.count:
-        mode = "count"
-    elif args.all:
-        mode = "all"
-    else:
-        mode = "first"
+    """Without ``--all`` or ``--count``, search for one realization past
+    the first, so that ``unique`` is certified, and print one graph."""
+    obj = parse_json(_read_input(args.input))
+    mode = "count" if args.count else "all"
+    limit = args.limit if args.all or args.count else 1
     if args.source == "multiset":
-        result = from_multiset(multiset_from_json_dict(obj), mode, args.limit)
+        result = from_multiset(multiset_from_json_dict(obj), mode, limit)
     elif args.source == "support":
-        result = from_support(family_from_json_dict(obj), mode, args.limit)
+        result = from_support(family_from_json_dict(obj), mode, limit)
     else:
-        result = from_digital_convexity(family_from_json_dict(obj), mode, args.limit)
+        result = from_digital_convexity(family_from_json_dict(obj), mode, limit)
     print(dumps_canonical(_result_json(result, count_only=args.count,
                                        with_dot=args.dot)))
     return _VERDICT_EXIT[result.verdict]
@@ -230,11 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("multiset", "support", "dc"),
                    help="which invariant the input encodes")
     p.add_argument("--all", action="store_true",
-                   help="enumerate realizations up to --limit and certify uniqueness")
+                   help="list realizations up to --limit (default: one, and unique is certified)")
     p.add_argument("--count", action="store_true",
                    help="report the number of realizations instead of the graphs")
     p.add_argument("--limit", type=int, default=DEFAULT_SOLUTION_LIMIT,
-                   help="solution cap in all/count mode (default %(default)s)")
+                   help="solution cap with --all or --count (default %(default)s)")
     p.add_argument("--dot", action="store_true",
                    help="include a DOT drawing per returned graph")
     p.set_defaults(func=cmd_reconstruct)

@@ -1,11 +1,13 @@
 """Serialization: graph6, DOT export, and the JSON graph/family formats.
 
-graph6 follows the standard printable encoding for undirected graphs on at
-most 62 vertices: one size byte (n + 63), then the upper triangle of the
-adjacency matrix read column by column, packed big-endian into 6-bit groups,
-each offset by 63.  ``to_graph6`` encodes one ``Graph``; ``_graph6_bytes``
-encodes a whole array of edge masks at once for ``mine``, and ``to_graph6``
-is its test oracle.
+graph6 follows the standard printable encoding for undirected graphs: the
+size, then the upper triangle of the adjacency matrix read column by column,
+packed big-endian into 6-bit groups, each offset by 63.  The size is one
+byte (n + 63) up to 62 vertices; at 63 and 64 (``MAX_UNIVERSE``) it takes
+the long form, ``~`` and then n in three 6-bit groups, each offset by 63.
+``to_graph6`` encodes one ``Graph``; ``_graph6_bytes`` encodes a whole
+array of edge masks at once for ``mine``, and ``to_graph6`` is its test
+oracle.
 
 The JSON set-family format is ``{"universe": n, "sets": [[...], ...]}`` with
 each set a sorted integer array; canonical output orders the sets by (size,
@@ -28,6 +30,7 @@ its test oracle, and the two agree byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -37,7 +40,8 @@ from .families import NeighborhoodMultiset, SetFamily
 from .graphs import MAX_UNIVERSE, Graph, _edge_pairs, mask_members
 from .miner import CollisionArrays, first_pair_checks
 
-GRAPH6_MAX_VERTICES = 62
+#: The largest n that graph6 writes in its one-byte size form.
+GRAPH6_SHORT_MAX = 62
 GRAPH6_HEADER = ">>graph6<<"
 
 #: Collision groups per text block of :func:`collision_json_blocks`.
@@ -47,10 +51,10 @@ MINE_BLOCK_GROUPS = 4096
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (labels are not preserved)."""
     n = g.n
-    if n > GRAPH6_MAX_VERTICES:
-        raise InputError(
-            f"graph6 supports at most {GRAPH6_MAX_VERTICES} vertices, got {n}")
-    out = [chr(n + 63)]
+    if n <= GRAPH6_SHORT_MAX:
+        out = [chr(n + 63)]
+    else:  # "~", then n in three 6-bit groups
+        out = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
     buf = 0
     filled = 0
     for col in range(1, n):
@@ -95,25 +99,25 @@ def from_graph6(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER):].strip()
     if not s:
         raise FormatError("empty graph6 input")
-    first = ord(s[0])
-    if first == 126:
-        raise FormatError("graph6 long-size encodings (>62 vertices) are not supported",
-                          position=0)
-    n = first - 63
-    if not 1 <= n <= GRAPH6_MAX_VERTICES:
-        raise FormatError(f"invalid graph6 size byte {s[0]!r}", position=0)
+    vals = [ord(ch) - 63 for ch in s]
+    for i, val in enumerate(vals):
+        if not 0 <= val < 64:
+            raise FormatError(f"invalid graph6 byte {s[i]!r}", position=i)
+    head = 4 if s[0] == "~" else 1  # "~", then n in three 6-bit groups
+    n = 0
+    for val in vals[1:4] if head == 4 else vals[:1]:
+        n = n << 6 | val
+    if len(s) < head or not 1 <= n <= MAX_UNIVERSE:
+        raise FormatError(f"graph6 size must be in 1..{MAX_UNIVERSE}", position=0)
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
-    body = s[1:]
+    body = vals[head:]
     if len(body) != need_bytes:
         raise FormatError(
             f"graph6 body for n={n} needs {need_bytes} bytes, got {len(body)}",
-            position=1 + min(len(body), need_bytes))
+            position=head + min(len(body), need_bytes))
     bits = []
-    for i, ch in enumerate(body):
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise FormatError(f"invalid graph6 byte {ch!r}", position=1 + i)
+    for val in body:
         bits.extend((val >> (5 - b)) & 1 for b in range(6))
     if any(bits[need_bits:]):
         raise FormatError("nonzero padding bits in graph6 body", position=len(s) - 1)
@@ -167,8 +171,9 @@ def graph_from_json_dict(obj: dict) -> Graph:
         raise FormatError('"n" must be an integer')
     labels = obj.get("labels")
     if labels is not None and not (isinstance(labels, list) and all(
-            isinstance(x, (str, int, float)) for x in labels)):
-        raise FormatError('"labels" must be an array of strings or numbers')
+            type(x) in (str, int) or type(x) is float and math.isfinite(x)
+            for x in labels)):  # bool is an int subclass; reject it too
+        raise FormatError('"labels" must be an array of strings or finite numbers')
     if "adjacency" in obj:
         adjacency = obj["adjacency"]
         if not isinstance(adjacency, list) or len(adjacency) != n:

@@ -45,7 +45,7 @@ from .graphs import Graph, VertexSet, _transpose, as_int, mask_members
 #: Default cap on the number of realizations collected in ``all`` mode.
 DEFAULT_SOLUTION_LIMIT = 64
 
-_MODES = ("first", "all", "count")
+_MODES = ("all", "count")
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,13 +64,11 @@ class ReconstructionResult:
     ``graphs`` lists the realizations found, sorted by their tuples of
     adjacency masks.  ``truncated`` means the search stopped at the limit
     with more realizations left; the verdict then stays ``ambiguous`` even
-    for a single graph.  In ``first`` mode a lone solution is reported as
-    ``unique`` without certifying uniqueness, and ``truncated`` is set
-    whenever a graph is returned, on all three paths; use ``all`` mode (any
-    limit) when the input is not known to be uniquely realizable.
-    An ``infeasible`` verdict with ``truncated`` set means the search hit
-    the limit before anything verified, so infeasibility is not certified
-    either; rerun with a higher limit.
+    for a single graph.  The search always looks one realization past the
+    limit, so ``unique`` certifies that no second realization exists, at
+    any limit.  An ``infeasible`` verdict with ``truncated`` set means the
+    search hit the limit before anything verified, so infeasibility is not
+    certified either; rerun with a higher limit.
     """
 
     verdict: str
@@ -93,19 +91,17 @@ class ReconstructionResult:
         return self.verdict != "infeasible"
 
 
-def _verdict(mode: str, limit: int, cap: int, candidates: list[Graph], nodes: int,
-             t0: float, reference, kind: str) -> ReconstructionResult:
+def _verdict(limit: int, candidates: list[Graph], nodes: int, t0: float,
+             reference, kind: str) -> ReconstructionResult:
     """The tail shared by the three entry points: re-verify the first
     ``limit`` candidates once against the caller's ``reference``, sort them
-    and name the verdict.  The search stops at ``cap`` candidates, so
-    reaching it means more realizations exist than are returned."""
+    and name the verdict.  The search stops one candidate past ``limit``,
+    so reaching it means more realizations exist than are returned."""
     graphs = [h for h in candidates[:limit] if realizes(h, reference, kind)]
-    truncated = len(candidates) == cap
+    truncated = len(candidates) > limit
     elapsed = time.perf_counter() - t0
     if not graphs:
         return ReconstructionResult("infeasible", (), truncated, nodes, elapsed)
-    if mode == "first":
-        return ReconstructionResult("unique", (graphs[0],), truncated, nodes, elapsed)
     # canonical order, so that answers do not depend on the search order
     graphs = tuple(sorted(graphs, key=lambda h: h._adj))
     if len(graphs) == 1 and not truncated:
@@ -122,7 +118,7 @@ def _check_mode(mode: str, limit: int, universe: int) -> int:
         raise InputError(f"limit must be positive, got {limit}")
     if universe < 1:
         raise InputError("reconstruction needs a nonempty universe")
-    return 1 if mode == "first" else limit + 1
+    return limit + 1
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +274,7 @@ def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
     cap = _check_mode(mode, limit, m.universe)
     found, nodes = _realize(m.universe, m.entries, cap)
     candidates = [Graph._from_adj_unchecked(m.universe, adj) for adj in found]
-    return _verdict(mode, limit, cap, candidates, nodes, t0, m, "multiset")
+    return _verdict(limit, candidates, nodes, t0, m, "multiset")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +335,7 @@ def from_support(f: SetFamily, mode: str = "all",
     cap = _check_mode(mode, limit, f.universe)
     sigs, blocks = _twin_classes(f)
     candidates, nodes = _realize_on_base(sigs, len(f), blocks, f.universe, cap)
-    return _verdict(mode, limit, cap, candidates, nodes, t0, f, "support")
+    return _verdict(limit, candidates, nodes, t0, f, "support")
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +381,11 @@ def from_digital_convexity(d: SetFamily, mode: str = "all",
     # 2^n table
     irreducible = _convexity_basis(d)
     if irreducible is None:
-        return _verdict(mode, limit, cap, [], 0, t0, d, "convexity")
+        return _verdict(limit, [], 0, t0, d, "convexity")
     _, owners, sigs = _base_and_caps(irreducible, n)  # base nonempty: V is in U
     # the cuts are distinct, since no two members of U agree on S
     candidates, nodes = _realize_on_base(sigs, len(irreducible), owners, n, cap)
-    return _verdict(mode, limit, cap, candidates, nodes, t0, d, "convexity")
+    return _verdict(limit, candidates, nodes, t0, d, "convexity")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from helpers import (
     oracle_mine_lines,
     oracle_verify_line,
     pg,
+    random_graph,
 )
 
 
@@ -186,6 +188,41 @@ class TestReconstruct:
         code, out, _ = run(capsys, "reconstruct", "--from", "support", "-")
         assert code == 0
         assert jline(out)["verdict"] == "unique"
+
+    @pytest.mark.parametrize("source,invariant", [
+        ("multiset", lambda g: multiset_to_json_dict(neighborhood_multiset(g))),
+        ("support", lambda g: family_to_json_dict(closed_support(g))),
+    ], ids=["multiset", "support"])
+    def test_default_certifies_c4_is_ambiguous(self, capsys, tmp_path, source, invariant):
+        # C4 has three realizations, so the default search finds a second
+        # one and may not call the first unique
+        family = tmp_path / "c4.json"
+        family.write_text(json.dumps(invariant(C4_LABELINGS[0])))
+        code, out, _ = run(capsys, "reconstruct", "--from", source, str(family))
+        obj = jline(out)
+        assert (code, obj["verdict"], obj["truncated"], len(obj["graphs"])) == \
+            (2, "ambiguous", True, 1)
+
+    def test_default_certifies_a_dense_multiset_is_ambiguous(self, capsys, tmp_path):
+        # graph 2 of the seeded G(24, 0.9) corpus has two realizations
+        rng = random.Random(1)
+        g = [random_graph(24, rng, 0.9) for _ in range(3)][2]
+        family = tmp_path / "dense.json"
+        family.write_text(json.dumps(multiset_to_json_dict(neighborhood_multiset(g))))
+        code, out, _ = run(capsys, "reconstruct", "--from", "multiset", str(family))
+        obj = jline(out)
+        assert (code, obj["verdict"], obj["truncated"], len(obj["graphs"])) == \
+            (2, "ambiguous", True, 1)
+
+    def test_64_vertices_print_in_long_graph6(self, capsys, tmp_path):
+        # 64 singletons are the closed neighborhoods of the edgeless graph
+        family = tmp_path / "edgeless64.json"
+        family.write_text(json.dumps({"universe": 64, "sets": [[v] for v in range(64)]}))
+        code, out, _ = run(capsys, "reconstruct", "--from", "support", "--all", str(family))
+        obj = jline(out)
+        assert (code, obj["verdict"]) == (0, "unique")
+        assert obj["graphs"][0]["graph6"].startswith("~")
+        assert from_graph6(obj["graphs"][0]["graph6"]).edge_count() == 0
 
     def test_dot_flag_embeds_drawings(self, capsys, tmp_path):
         family = tmp_path / "fig6.json"
@@ -369,6 +406,16 @@ class TestErrors:
         code, _, err = run(capsys, "reconstruct", "--from", "support", str(p))
         assert code == 1
         assert "position" in err
+
+    @pytest.mark.parametrize("command", [
+        ["nbhd"], ["convex"], ["reconstruct", "--from", "support"], ["convert", "--to", "json"],
+    ], ids=["nbhd", "convex", "reconstruct", "convert"])
+    def test_non_utf8_file_exit_one(self, capsys, tmp_path, command):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(b'{"n": 1,\xff')
+        code, out, err = run(capsys, *command, str(p))
+        assert_one_error_line(code, out, err)
+        assert err == "error: input is not UTF-8: invalid start byte (at position 8)\n"
 
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run(capsys, "nbhd", "/nonexistent/file.g6")

@@ -7,6 +7,7 @@ import io
 import json
 import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nbhdrecon.cli import main
@@ -96,6 +97,39 @@ def test_reconstruct(text, source, flags, limit):
     if limit is not None:
         argv += ["--limit", str(limit)]
     run_main(argv + ["-"], text)
+
+
+def spliced(parts):
+    """Valid-looking input text with raw bytes, perhaps invalid UTF-8,
+    spliced in at a drawn offset."""
+    text, raw, at = parts
+    data = text.encode()
+    at = min(at, len(data))
+    return data[:at] + raw + data[at:]
+
+
+byte_inputs = st.one_of(
+    st.binary(max_size=40),
+    st.tuples(graph_inputs | family_inputs, st.binary(min_size=1, max_size=4),
+              st.integers(0, 40)).map(spliced),
+    (graph_inputs | family_inputs).map(lambda text: text.encode("utf-16")))
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(FUZZ, max_examples=150)
+@given(data=byte_inputs, command=st.sampled_from([
+    ["nbhd"], ["convex"], ["convert", "--to", "g6"], ["convert", "--to", "json"],
+    ["reconstruct", "--from", "multiset"], ["reconstruct", "--from", "support"],
+    ["reconstruct", "--from", "dc", "--all"],
+]))
+def test_file_bytes(input_file, data, command):
+    # the file path of the input decodes bytes itself; stdin gets text
+    input_file.write_bytes(data)
+    run_main(command + [str(input_file)])
 
 
 @settings(FUZZ, max_examples=40)

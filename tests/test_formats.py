@@ -68,9 +68,23 @@ class TestGraph6:
         g = Graph(3, [(0, 1)])
         assert from_graph6(">>graph6<<" + to_graph6(g)) == g
 
+    @pytest.mark.parametrize("n", [62, 63, 64])
+    def test_long_size_form_roundtrip(self, n):
+        # from n = 63 the size is "~" and then n in three 6-bit groups
+        g = random_graph(n, random.Random(n))
+        text = to_graph6(g)
+        assert text == nx_graph6(g)
+        assert text.startswith("~") == (n > 62)
+        assert from_graph6(text) == g
+
     def test_large_graphs_rejected(self):
-        with pytest.raises(InputError):
-            to_graph6(Graph(63))
+        # n = 65 in the long size form, with a body of the right length
+        with pytest.raises(FormatError, match="must be in 1..64"):
+            from_graph6("~?@@" + "?" * (65 * 64 // 2 // 6 + 1))
+        with pytest.raises(FormatError, match="must be in 1..64"):
+            from_graph6("~~" + "?" * 10)  # the 36-bit size form
+        with pytest.raises(FormatError, match="position 0"):
+            from_graph6("~??")  # a size cut short
 
     def test_malformed_inputs_carry_positions(self):
         with pytest.raises(FormatError):
@@ -140,6 +154,21 @@ class TestGraphJson:
         # bool is an int subclass, so true must not pass for 1
         with pytest.raises(FormatError):
             graph_from_json_dict(obj)
+
+    @pytest.mark.parametrize("labels", [
+        "[true, false]", "[1, true]", "[NaN, 1]", "[Infinity, 1]", "[1e400, 1]",
+    ])
+    def test_labels_must_be_strings_or_finite_numbers(self, labels):
+        # JSON true is never a number, and a non-finite float does not
+        # write back as JSON
+        obj = parse_json('{"n": 2, "edges": [], "labels": %s}' % labels)
+        with pytest.raises(FormatError, match="finite numbers"):
+            graph_from_json_dict(obj)
+
+    def test_string_int_and_float_labels_accepted(self):
+        g = graph_from_json_dict(parse_json(
+            '{"n": 3, "edges": [[0, 1]], "labels": ["a", -2, 2.5]}'))
+        assert g.labels == ("a", -2, 2.5)
 
 
 class TestFamilyJson:

@@ -88,15 +88,8 @@ def multiset_groups():
 
 def reconstruct_group(kind, n, key, group):
     """Reconstruct the family ``key`` and check that ``all`` gives exactly
-    ``group``, untruncated and without duplicates, and that ``first`` gives
-    one graph of it, truncated, or an untruncated infeasible verdict."""
+    ``group``, untruncated and without duplicates."""
     family = SetFamily(n, map(mask_of, key))
-    first = RECONSTRUCT[kind](family, "first")
-    if group:
-        assert first.verdict == "unique" and first.truncated
-        assert first.graph in group
-    else:
-        assert first.verdict == "infeasible" and not first.truncated
     result = RECONSTRUCT[kind](family, "all", 1024)
     assert not result.truncated
     assert len(set(result.graphs)) == len(result.graphs)
@@ -104,7 +97,7 @@ def reconstruct_group(kind, n, key, group):
     return result
 
 
-SUPPORT_MODES = (("first", 1), ("all", 1), ("all", 4), ("count", 64))
+SUPPORT_MODES = (("all", 1), ("all", 4), ("count", 64))
 
 
 def random_supports():
@@ -233,13 +226,6 @@ class TestFromMultiset:
         # no member contains vertex 2
         m = NeighborhoodMultiset(3, [0b011, 0b011, 0b001])
         assert from_multiset(m, "all").verdict == "infeasible"
-
-    def test_first_mode_returns_quickly(self, c4_labelings):
-        m = neighborhood_multiset(c4_labelings[0])
-        result = from_multiset(m, "first")
-        assert result.verdict == "unique"
-        assert result.solution_count == 1
-        assert neighborhood_multiset(result.graphs[0]) == m
 
     def test_truncation_flag(self, c4_labelings):
         m = neighborhood_multiset(c4_labelings[0])
@@ -385,7 +371,7 @@ class TestFromSupport:
     ], ids=["uncovered-vertex", "uncovered-vertex-counts-agree",
             "more-members-than-classes", "fewer-members-than-classes",
             "sizes-fail-count"])
-    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    @pytest.mark.parametrize("mode", ["all", "count"])
     def test_malformed_family_rejected_before_search(self, f, mode):
         result = from_support(f, mode)
         assert (result.verdict, result.truncated, result.nodes_explored) == \
@@ -426,7 +412,7 @@ class TestFromSupport:
         monkeypatch.setattr(reconstruct_module, "quotient_family", unused)
         for f in families:
             calls.clear()
-            from_support(f, "first")
+            from_support(f, "all", 1)
             assert calls == [expected[f]]
 
 
@@ -473,12 +459,6 @@ class TestFromDigitalConvexity:
         assert Graph(6, prism.edges()) in result.graphs
         for h in result.graphs:
             assert digital_convexity(h) == digital_convexity(k33)
-
-    def test_first_mode_returns_a_verified_realization(self, k33):
-        d = digital_convexity(k33)
-        result = from_digital_convexity(d, "first")
-        assert result.verdict == "unique"
-        assert digital_convexity(result.graphs[0]) == d
 
     def test_unrealizable_convexity_infeasible(self):
         # a legal convexity that no graph attains: on 2 vertices only
@@ -529,7 +509,7 @@ class TestFromDigitalConvexity:
         for g in graphs:
             d = digital_convexity(g)
             seen.clear()
-            from_digital_convexity(d, "first")
+            from_digital_convexity(d, "all", 1)
             assert seen == [oracle_convexity_base(d)]
 
     def test_basis_signatures_agree_with_full_family_on_lattice_corpus(
@@ -537,7 +517,7 @@ class TestFromDigitalConvexity:
         seen = self.record_base(monkeypatch)
         for _, d, _ in lattice_corpus():
             seen.clear()
-            from_digital_convexity(d, "first")
+            from_digital_convexity(d, "all", 1)
             assert seen == [oracle_convexity_base(d)]
 
     def test_size_ceiling_checked_before_any_work(self):
@@ -782,6 +762,16 @@ class TestResultContract:
         with pytest.raises(InputError):
             from_multiset(m, "all", 0)
 
+    @pytest.mark.parametrize("reconstruct,invariant", [
+        (from_multiset, neighborhood_multiset),
+        (from_support, closed_support),
+        (from_digital_convexity, digital_convexity),
+    ], ids=["multiset", "support", "convexity"])
+    def test_first_mode_rejected(self, reconstruct, invariant):
+        # no mode stops at one realization: unique is always certified
+        with pytest.raises(InputError, match="mode must be one of"):
+            reconstruct(invariant(P3), "first")
+
     def test_unique_graph_accessor(self):
         result = from_multiset(neighborhood_multiset(P3), "all", 4)
         assert result.graph == P3
@@ -842,7 +832,7 @@ class TestResultContract:
         (from_support, SetFamily(0)),
         (from_digital_convexity, SetFamily(0, [0])),
     ])
-    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    @pytest.mark.parametrize("mode", ["all", "count"])
     def test_empty_universe_rejected(self, reconstruct, empty, mode):
         # no graph has zero vertices, so every entry point refuses alike
         with pytest.raises(InputError, match="nonempty universe"):
@@ -850,9 +840,9 @@ class TestResultContract:
 
     # sha256 of (verdict, adjacency tuples in order, truncated, nodes_explored)
     # on every labeled graph with n <= 4, through all three paths, in the
-    # modes below.  It pins which graph ``first`` picks, what a truncated
-    # ``all`` keeps and how many nodes each search takes.
-    ANSWERS_SHA256 = "895b69b9adba7ea483991cd305f1685adf319a83eeacf6653c03f5c66b79e30f"
+    # modes below.  It pins what a truncated ``all`` keeps and how many nodes
+    # each search takes.
+    ANSWERS_SHA256 = "47de6ec2a1c90fce70522502438b68bad83b408a2cafa4e9971da02a1936d8c7"
 
     def test_answers_pinned_on_every_small_graph(self):
         digest = hashlib.sha256()
@@ -861,8 +851,8 @@ class TestResultContract:
                 for reconstruct, inv in ((from_multiset, neighborhood_multiset(g)),
                                          (from_support, closed_support(g)),
                                          (from_digital_convexity, digital_convexity(g))):
-                    for mode, limit in (("first", 1), ("all", 1), ("all", 2),
-                                        ("all", 4), ("count", 64)):
+                    for mode, limit in (("all", 1), ("all", 2), ("all", 4),
+                                        ("count", 64)):
                         r = reconstruct(inv, mode, limit)
                         adj = [tuple(h.adjacency_mask(v) for v in range(h.n))
                                for h in r.graphs]
@@ -871,8 +861,8 @@ class TestResultContract:
         assert digest.hexdigest() == self.ANSWERS_SHA256
 
     # The same answer tuples from ``from_support`` on the ``random_supports``
-    # corpus, 12,200 calls, which pins the path past the realizable n <= 4.
-    SUPPORT_ANSWERS_SHA256 = "517dd549d7a51f771e2b88a1e7d3ffe279d49e391593ed7c49d4c19f81dac85c"
+    # corpus, 9,200 calls, which pins the path past the realizable n <= 4.
+    SUPPORT_ANSWERS_SHA256 = "008c554a1b7d871ff08aa9c1ab38b788dbcc95c635f7948eaea23d7c2bb6e5b2"
 
     def test_support_answers_pinned_on_random_families(self):
         digest = hashlib.sha256()
@@ -883,13 +873,14 @@ class TestResultContract:
                 digest.update(repr((r.verdict, adj, r.truncated, r.nodes_explored)).encode())
         assert digest.hexdigest() == self.SUPPORT_ANSWERS_SHA256
 
-    # The same answer tuples from ``from_digital_convexity`` in ``all`` and
-    # ``first`` mode on 60 seeded C4-free graphs at n = 12-14 whose
-    # convexity has 200-799 members, each followed by its family with one
-    # member other than the empty set and V dropped.  These families are
-    # large enough for the member lattice, which no family at n <= 4
-    # reaches.  ``first`` mode pins the entry order the realizer is handed.
-    LATTICE_ANSWERS_SHA256 = "ca4f143c3f71eeb385f1c4771b55a4a66d0763a1ebd0f93ce4c6fe9258cf2039"
+    # The same answer tuples from ``from_digital_convexity`` in ``all`` mode,
+    # at the default limit and at limit 1, on 60 seeded C4-free graphs at
+    # n = 12-14 whose convexity has 200-799 members, each followed by its
+    # family with one member other than the empty set and V dropped.  These
+    # families are large enough for the member lattice, which no family at
+    # n <= 4 reaches.  Limit 1 keeps the first graph found, so it pins the
+    # entry order the realizer is handed.
+    LATTICE_ANSWERS_SHA256 = "e85c464767bf5c1406d07a94dbc2b5a982ac948ec0b5ec78ae103b05d2b2875a"
 
     def test_lattice_branch_answers_pinned(self):
         digest = hashlib.sha256()
@@ -897,18 +888,18 @@ class TestResultContract:
             assert lattice_pays(len(d), g.n)
             result, refuted = from_digital_convexity(d, "all"), from_digital_convexity(dropped, "all")
             assert g in result.graphs and refuted.verdict == "infeasible"
-            for r in (result, refuted, from_digital_convexity(d, "first")):
+            for r in (result, refuted, from_digital_convexity(d, "all", 1)):
                 adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
                 digest.update(repr((r.verdict, adj, r.truncated, r.nodes_explored)).encode())
         assert digest.hexdigest() == self.LATTICE_ANSWERS_SHA256
 
-    # The same answer tuples in ``all`` and ``first`` mode on every labeled
-    # graph with n <= 5, each followed by its convexity with the middle
-    # member dropped; one digest for both sides of the pair / lattice
-    # cut-over.  Without the empty set or V a family fails the axioms
+    # The same answer tuples in ``all`` mode, at the default limit and at
+    # limit 1, on every labeled graph with n <= 5, each followed by its
+    # convexity with the middle member dropped; one digest for both sides
+    # of the pair / lattice cut-over.  Without the empty set or V a family fails the axioms
     # before any search.
     SMALL_CONVEXITY_ANSWERS_SHA256 = (
-        "189a83a0e2f46f996b0a6065756507d5b443d02322fab729341a3fb1a2feb80b")
+        "84006115b363427a4f90081b99b5e2db4416868306cf14f0d9c097ed0a4368f5")
 
     def test_small_convexity_answers_pinned_on_both_sides(self, lattice_side):
         digest = hashlib.sha256()
@@ -918,7 +909,7 @@ class TestResultContract:
                 result = from_digital_convexity(d, "all")
                 assert g in result.graphs
                 dropped = SetFamily(n, d.masks[:len(d) // 2] + d.masks[len(d) // 2 + 1:])
-                for r in (result, from_digital_convexity(d, "first"),
+                for r in (result, from_digital_convexity(d, "all", 1),
                           from_digital_convexity(dropped, "all")):
                     adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
                     digest.update(repr((r.verdict, adj, r.truncated,
@@ -928,13 +919,13 @@ class TestResultContract:
                     assert (r.verdict, r.nodes_explored) == ("infeasible", 0)
         assert digest.hexdigest() == self.SMALL_CONVEXITY_ANSWERS_SHA256
 
-    # The same answer tuples from ``from_multiset`` in ``all`` and ``first``
-    # mode and from ``from_support`` in ``all`` mode on 60 seeded G(n, 0.9)
-    # graphs at n = 12-14.  Every input is realizable, so the count never
+    # The same answer tuples from ``from_multiset`` in ``all`` mode, at the
+    # default limit and at limit 1, and from ``from_support`` in ``all`` mode
+    # on 60 seeded G(n, 0.9) graphs at n = 12-14.  Every input is realizable, so the count never
     # refutes one and the digest pins the search itself: which vertex it
     # places next, how it narrows the domains and how many nodes it takes.
     DENSE_ANSWERS_SHA256 = (
-        "8d44f87a99b1ba1b9a2754444b43afe78a2eac77f118027537b9cc0e21e7b156")
+        "052931d50f0cdda5fe91836e14a06e7221efc3a6a06aeaf49ccde0e6fb43fbfb")
 
     def test_dense_search_answers_pinned(self):
         digest = hashlib.sha256()
@@ -942,12 +933,40 @@ class TestResultContract:
         for _ in range(60):
             g = random_graph(rng.randint(12, 14), rng, 0.9)
             m = neighborhood_multiset(g)
-            for r in (from_multiset(m, "all"), from_multiset(m, "first"),
+            for r in (from_multiset(m, "all"), from_multiset(m, "all", 1),
                       from_support(closed_support(g), "all")):
                 assert r.verdict != "infeasible"
                 adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
                 digest.update(repr((r.verdict, adj, r.truncated, r.nodes_explored)).encode())
         assert digest.hexdigest() == self.DENSE_ANSWERS_SHA256
+
+
+class TestLimitOneCertifies:
+    """Limit 1 searches one realization past the first, so ``unique`` means
+    that no second realization exists.  Among 40 seeded G(24, 0.9) graphs,
+    the multisets and supports listed here have two realizations each; a
+    search that stopped at the first graph would call them unique."""
+
+    AMBIGUOUS = {"multiset": {2, 15, 25, 26}, "support": {2, 6, 15, 23, 25, 26}}
+
+    @pytest.fixture(scope="class")
+    def dense_graphs(self):
+        rng = random.Random(1)
+        return [random_graph(24, rng, 0.9) for _ in range(40)]
+
+    @pytest.mark.parametrize("kind,reconstruct,invariant", [
+        ("multiset", from_multiset, neighborhood_multiset),
+        ("support", from_support, closed_support),
+    ])
+    def test_dense_verdicts_pinned(self, dense_graphs, kind, reconstruct, invariant):
+        for i, g in enumerate(dense_graphs):
+            result = reconstruct(invariant(g), "all", 1)
+            assert result.solution_count == 1
+            if i in self.AMBIGUOUS[kind]:
+                assert (result.verdict, result.truncated) == ("ambiguous", True)
+                assert len(reconstruct(invariant(g), "all").graphs) == 2
+            else:
+                assert (result.verdict, result.graph) == ("unique", g)
 
 
 def count_refutes(m: NeighborhoodMultiset) -> bool:
@@ -1029,7 +1048,7 @@ class TestReverification:
             assert Counter(calls) == Counter(result.graphs)
 
     @PATHS
-    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    @pytest.mark.parametrize("mode", ["all", "count"])
     def test_rejected_candidates_are_never_returned(self, monkeypatch, reconstruct,
                                                     invariant, mode):
         monkeypatch.setattr(reconstruct_module, "realizes", lambda g, reference, kind: False)
