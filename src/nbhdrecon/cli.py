@@ -146,7 +146,12 @@ def cmd_convex(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     """Without ``--all`` or ``--count``, search for one realization past
-    the first, so that ``unique`` is certified, and print one graph."""
+    the first, so that ``unique`` is certified, and print one graph; a
+    ``--limit`` there would be ignored, so it is an error."""
+    if args.limit is None:
+        args.limit = DEFAULT_SOLUTION_LIMIT
+    elif not (args.all or args.count):
+        raise InputError("--limit needs --all or --count")
     obj = parse_json(_read_input(args.input))
     mode = "count" if args.count else "all"
     limit = args.limit if args.all or args.count else 1
@@ -233,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list realizations up to --limit (default: one, and unique is certified)")
     p.add_argument("--count", action="store_true",
                    help="report the number of realizations instead of the graphs")
-    p.add_argument("--limit", type=int, default=DEFAULT_SOLUTION_LIMIT,
-                   help="solution cap with --all or --count (default %(default)s)")
+    p.add_argument("--limit", type=int,
+                   help=f"solution cap with --all or --count (default {DEFAULT_SOLUTION_LIMIT})")
     p.add_argument("--dot", action="store_true",
                    help="include a DOT drawing per returned graph")
     p.set_defaults(func=cmd_reconstruct)

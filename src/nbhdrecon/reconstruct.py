@@ -33,6 +33,7 @@ yield the infeasible verdict rather than an exception.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,24 +208,33 @@ def _realize(n: int, entries, cap: int) -> tuple[list[tuple[int, ...]], int]:
     Before any node, a count refutes: v lies in exactly |N[v]| entries,
     counted with multiplicity, so the entry sizes, each repeated by its
     multiplicity, must equal the vertices' incidence counts once both are
-    sorted (which also fixes the total multiplicity at n).  The degree sum
-    must be even and every vertex must lie in some entry; neither follows
-    from the count.
+    sorted (which also fixes the total multiplicity at n).  When some
+    multiplicity exceeds one, a twin filter cuts u's first domain to the
+    entries whose multiplicity is the number of vertices with u's incidence:
+    those vertices are u's closed twins in every realization (w in N[u]
+    puts u, so each of them, in the entry N[w]), so N[u] occurs once per
+    vertex of that class.  The degree sum must be even and every first
+    domain nonempty; neither follows from the count.
     """
     entry_masks = [mask for mask, _ in entries]
     remaining = [mult for _, mult in entries]
     inc = _transpose(entry_masks, n)
     sizes = list(map(int.bit_count, entry_masks))
     counts = list(map(int.bit_count, inc))
-    if max(remaining, default=1) > 1:  # an entry of multiplicity k counts k times
-        for mask, mult in entries:
-            if mult > 1:
+    first_doms = inc
+    if max(remaining, default=1) > 1:
+        of_mult: dict[int, int] = {}  # multiplicity -> mask of the entries with it
+        for j, (mask, mult) in enumerate(entries):
+            of_mult[mult] = of_mult.get(mult, 0) | 1 << j
+            if mult > 1:  # an entry of multiplicity k counts k times
                 sizes += [mask.bit_count()] * (mult - 1)
                 for x in mask_members(mask):
                     counts[x] += mult - 1
+        class_size = Counter(inc)  # twins: the vertices of equal incidence
+        first_doms = [s & of_mult.get(class_size[s], 0) for s in inc]
     sizes.sort()
     counts.sort()
-    if sizes != counts or (sum(sizes) - n) % 2 or not all(inc):
+    if sizes != counts or (sum(sizes) - n) % 2 or not all(first_doms):
         return [], 0
 
     nodes = 0
@@ -261,7 +271,7 @@ def _realize(n: int, entries, cap: int) -> tuple[list[tuple[int, ...]], int]:
             remaining[j] += 1
         return False
 
-    walk(tuple(range(n)), inc)
+    walk(tuple(range(n)), first_doms)
     del walk  # it holds itself through its closure cell: a cycle per call
     return found, nodes
 
@@ -269,7 +279,10 @@ def _realize(n: int, entries, cap: int) -> tuple[list[tuple[int, ...]], int]:
 def from_multiset(m: NeighborhoodMultiset, mode: str = "all",
                   limit: int = DEFAULT_SOLUTION_LIMIT) -> ReconstructionResult:
     """Find labeled graphs whose closed-neighborhood multiset equals ``m``,
-    by the exact search :func:`_realize` over its entries."""
+    by the exact search :func:`_realize` over its entries.
+
+    The multiset is the support plus the size of each twin class: twins
+    share one N[v], so each entry's multiplicity is its class's size."""
     t0 = time.perf_counter()
     cap = _check_mode(mode, limit, m.universe)
     found, nodes = _realize(m.universe, m.entries, cap)

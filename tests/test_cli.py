@@ -182,6 +182,20 @@ class TestReconstruct:
         assert obj["count"] == 3
         assert "graphs" not in obj
 
+    def test_limit_needs_all_or_count(self, capsys, tmp_path):
+        # the default search keeps limit 1, so a --limit alone would be dropped
+        family = tmp_path / "c4.json"
+        family.write_text(json.dumps(
+            multiset_to_json_dict(neighborhood_multiset(C4_LABELINGS[0]))))
+        code, out, err = run(capsys, "reconstruct", "--from", "multiset",
+                             "--limit", "5", str(family))
+        assert_one_error_line(code, out, err)
+        assert "--limit needs --all or --count" in err
+        code, out, _ = run(capsys, "reconstruct", "--from", "multiset", "--all",
+                           "--limit", "2", str(family))
+        obj = jline(out)
+        assert (code, len(obj["graphs"]), obj["truncated"]) == (2, 2, True)
+
     def test_stdin_dash(self, capsys, tmp_path, monkeypatch):
         payload = json.dumps(family_to_json_dict(closed_support(WORKED_EXAMPLE)))
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))

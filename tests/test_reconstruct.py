@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter, defaultdict
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -114,6 +115,24 @@ def random_supports():
         yield SetFamily(n, masks), SUPPORT_MODES
     for _ in range(200):
         yield closed_support(random_graph(rng.randint(10, 16), rng)), (("all", 16),)
+
+
+class ResultDigests:
+    """Two sha256 digests over a run of calls: one of each result's
+    (verdict, adjacency tuples in order, truncated), one of its
+    ``nodes_explored``."""
+
+    def __init__(self):
+        self.answers = hashlib.sha256()
+        self.nodes = hashlib.sha256()
+
+    def add(self, r) -> None:
+        adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
+        self.answers.update(repr((r.verdict, adj, r.truncated)).encode())
+        self.nodes.update(b"%d," % r.nodes_explored)
+
+    def hexdigests(self) -> tuple[str, str]:
+        return self.answers.hexdigest(), self.nodes.hexdigest()
 
 
 class TestEquivalenceClasses:
@@ -315,14 +334,22 @@ class TestFromMultiset:
         assert feasible and infeasible  # the fuzz hit both outcomes
 
     def test_exhaustive_agreement_with_bruteforce_n4(self):
-        seen = set()
+        # every multiset of four nonempty masks at n = 4, realizable or not,
+        # against the brute-force grouping of all labeled graphs; where the
+        # twin filter leaves a vertex no entry, the answer costs no node
+        realizations = defaultdict(set)
         for g in enumerate_labeled_graphs(4):
-            m = neighborhood_multiset(g)
-            if m in seen:
-                continue
-            seen.add(m)
+            realizations[neighborhood_multiset(g)].add(g)
+        filtered = 0
+        for masks in combinations_with_replacement(range(1, 16), 4):
+            m = NeighborhoodMultiset(4, list(masks))
             result = from_multiset(m, "all", 64)
-            assert set(result.graphs) == set(brute_force_multiset_realizations(m))
+            assert not result.truncated
+            assert set(result.graphs) == realizations.get(m, set())
+            if twin_filter_refutes(m):
+                assert (result.verdict, result.nodes_explored) == ("infeasible", 0)
+                filtered += not count_refutes(m)
+        assert filtered  # some are refuted by the twin filter alone
 
 
 class TestFromSupport:
@@ -838,14 +865,20 @@ class TestResultContract:
         with pytest.raises(InputError, match="nonempty universe"):
             reconstruct(empty, mode)
 
-    # sha256 of (verdict, adjacency tuples in order, truncated, nodes_explored)
-    # on every labeled graph with n <= 4, through all three paths, in the
-    # modes below.  It pins what a truncated ``all`` keeps and how many nodes
-    # each search takes.
-    ANSWERS_SHA256 = "47de6ec2a1c90fce70522502438b68bad83b408a2cafa4e9971da02a1936d8c7"
+    # Each corpus below pins two sha256 digests: ANSWERS of (verdict,
+    # adjacency tuples in order, truncated) per call, and NODES of
+    # ``nodes_explored`` in call order.  A change to the search alone moves
+    # only NODES; ANSWERS says that it returned the same graphs.
+
+    # Every labeled graph with n <= 4, through all three paths, in the
+    # modes below.  It pins what a truncated ``all`` keeps.
+    ANSWERS_SHA256 = (
+        "b660cde91d016e747b1c6a32e00423a4971770b2df62908e3cf4ab57bf52adfc")
+    NODES_SHA256 = (
+        "5849a5d2a6cdb8c96e901040be933a2cc68af3f431c16a72fa14d72dd1f7e55c")
 
     def test_answers_pinned_on_every_small_graph(self):
-        digest = hashlib.sha256()
+        digests = ResultDigests()
         for n in range(1, 5):
             for g in enumerate_labeled_graphs(n):
                 for reconstruct, inv in ((from_multiset, neighborhood_multiset(g)),
@@ -853,56 +886,76 @@ class TestResultContract:
                                          (from_digital_convexity, digital_convexity(g))):
                     for mode, limit in (("all", 1), ("all", 2), ("all", 4),
                                         ("count", 64)):
-                        r = reconstruct(inv, mode, limit)
-                        adj = [tuple(h.adjacency_mask(v) for v in range(h.n))
-                               for h in r.graphs]
-                        digest.update(repr((r.verdict, adj, r.truncated,
-                                            r.nodes_explored)).encode())
-        assert digest.hexdigest() == self.ANSWERS_SHA256
+                        digests.add(reconstruct(inv, mode, limit))
+        assert digests.hexdigests() == (self.ANSWERS_SHA256, self.NODES_SHA256)
 
-    # The same answer tuples from ``from_support`` on the ``random_supports``
-    # corpus, 9,200 calls, which pins the path past the realizable n <= 4.
-    SUPPORT_ANSWERS_SHA256 = "008c554a1b7d871ff08aa9c1ab38b788dbcc95c635f7948eaea23d7c2bb6e5b2"
+    # ``from_multiset`` on every labeled graph with n <= 5 at limits 1, 2, 4
+    # and 64: the n = 5 listings cut short by a limit are pinned too.
+    MULTISET_ANSWERS_SHA256 = (
+        "e4933bb1d66fa919b9ead98bfba2c9382b2b7959c7e3ed5cc050d18c56fdf4e7")
+    MULTISET_NODES_SHA256 = (
+        "0de895488640e351dc88210aad17f4064960b82705985db29caedccf0308a7ed")
+
+    def test_multiset_answers_pinned_on_every_graph_to_n5(self):
+        digests = ResultDigests()
+        for n in range(1, 6):
+            for g in enumerate_labeled_graphs(n):
+                m = neighborhood_multiset(g)
+                for limit in (1, 2, 4, 64):
+                    digests.add(from_multiset(m, "all", limit))
+        assert digests.hexdigests() == (self.MULTISET_ANSWERS_SHA256,
+                                        self.MULTISET_NODES_SHA256)
+
+    # ``from_support`` on the ``random_supports`` corpus, 9,200 calls, which
+    # pins the path past the realizable n <= 4.
+    SUPPORT_ANSWERS_SHA256 = (
+        "b622f2380781aad0dae4d63a1926c527993ceae6f7cc417a14140b81d6d1d6da")
+    SUPPORT_NODES_SHA256 = (
+        "2b243e3f9cacc9a22731e828dfa29c96b94c15425c49dadac2c00fe5d28a7c43")
 
     def test_support_answers_pinned_on_random_families(self):
-        digest = hashlib.sha256()
+        digests = ResultDigests()
         for f, modes in random_supports():
             for mode, limit in modes:
-                r = from_support(f, mode, limit)
-                adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
-                digest.update(repr((r.verdict, adj, r.truncated, r.nodes_explored)).encode())
-        assert digest.hexdigest() == self.SUPPORT_ANSWERS_SHA256
+                digests.add(from_support(f, mode, limit))
+        assert digests.hexdigests() == (self.SUPPORT_ANSWERS_SHA256,
+                                        self.SUPPORT_NODES_SHA256)
 
-    # The same answer tuples from ``from_digital_convexity`` in ``all`` mode,
-    # at the default limit and at limit 1, on 60 seeded C4-free graphs at
-    # n = 12-14 whose convexity has 200-799 members, each followed by its
-    # family with one member other than the empty set and V dropped.  These
-    # families are large enough for the member lattice, which no family at
-    # n <= 4 reaches.  Limit 1 keeps the first graph found, so it pins the
-    # entry order the realizer is handed.
-    LATTICE_ANSWERS_SHA256 = "e85c464767bf5c1406d07a94dbc2b5a982ac948ec0b5ec78ae103b05d2b2875a"
+    # ``from_digital_convexity`` in ``all`` mode, at the default limit and at
+    # limit 1, on 60 seeded C4-free graphs at n = 12-14 whose convexity has
+    # 200-799 members, each followed by its family with one member other
+    # than the empty set and V dropped.  These families are large enough for
+    # the member lattice, which no family at n <= 4 reaches.  Limit 1 keeps
+    # the first graph found, so it pins the entry order the realizer is
+    # handed.
+    LATTICE_ANSWERS_SHA256 = (
+        "3e49a21ded3d9035e06b04cb9a98cc05e114ca1348d75658c8892954b370ca06")
+    LATTICE_NODES_SHA256 = (
+        "f03344f5ff4b6539fcb0ee28df64001954fa21deb1640f748dd729cd1c6ae785")
 
     def test_lattice_branch_answers_pinned(self):
-        digest = hashlib.sha256()
+        digests = ResultDigests()
         for g, d, dropped in lattice_corpus():
             assert lattice_pays(len(d), g.n)
             result, refuted = from_digital_convexity(d, "all"), from_digital_convexity(dropped, "all")
             assert g in result.graphs and refuted.verdict == "infeasible"
             for r in (result, refuted, from_digital_convexity(d, "all", 1)):
-                adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
-                digest.update(repr((r.verdict, adj, r.truncated, r.nodes_explored)).encode())
-        assert digest.hexdigest() == self.LATTICE_ANSWERS_SHA256
+                digests.add(r)
+        assert digests.hexdigests() == (self.LATTICE_ANSWERS_SHA256,
+                                        self.LATTICE_NODES_SHA256)
 
-    # The same answer tuples in ``all`` mode, at the default limit and at
-    # limit 1, on every labeled graph with n <= 5, each followed by its
-    # convexity with the middle member dropped; one digest for both sides
-    # of the pair / lattice cut-over.  Without the empty set or V a family fails the axioms
-    # before any search.
+    # ``all`` mode, at the default limit and at limit 1, on every labeled
+    # graph with n <= 5, each followed by its convexity with the middle
+    # member dropped; one pair of digests for both sides of the pair /
+    # lattice cut-over.  Without the empty set or V a family fails the
+    # axioms before any search.
     SMALL_CONVEXITY_ANSWERS_SHA256 = (
-        "84006115b363427a4f90081b99b5e2db4416868306cf14f0d9c097ed0a4368f5")
+        "fb2bdc6b7d671c45967b48774672edc6eb1bde83afe883637defd0cc51bd2505")
+    SMALL_CONVEXITY_NODES_SHA256 = (
+        "1a2e97ef8905daa7d803e2da13c5cfc8a85b777a2964f920260c87317089beaa")
 
     def test_small_convexity_answers_pinned_on_both_sides(self, lattice_side):
-        digest = hashlib.sha256()
+        digests = ResultDigests()
         for n in range(1, 6):
             for g in enumerate_labeled_graphs(n):
                 d = digital_convexity(g)
@@ -911,24 +964,25 @@ class TestResultContract:
                 dropped = SetFamily(n, d.masks[:len(d) // 2] + d.masks[len(d) // 2 + 1:])
                 for r in (result, from_digital_convexity(d, "all", 1),
                           from_digital_convexity(dropped, "all")):
-                    adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
-                    digest.update(repr((r.verdict, adj, r.truncated,
-                                        r.nodes_explored)).encode())
+                    digests.add(r)
                 for gone in (0, (1 << n) - 1):
                     r = from_digital_convexity(SetFamily(n, set(d.masks) - {gone}), "all")
                     assert (r.verdict, r.nodes_explored) == ("infeasible", 0)
-        assert digest.hexdigest() == self.SMALL_CONVEXITY_ANSWERS_SHA256
+        assert digests.hexdigests() == (self.SMALL_CONVEXITY_ANSWERS_SHA256,
+                                        self.SMALL_CONVEXITY_NODES_SHA256)
 
-    # The same answer tuples from ``from_multiset`` in ``all`` mode, at the
-    # default limit and at limit 1, and from ``from_support`` in ``all`` mode
-    # on 60 seeded G(n, 0.9) graphs at n = 12-14.  Every input is realizable, so the count never
-    # refutes one and the digest pins the search itself: which vertex it
-    # places next, how it narrows the domains and how many nodes it takes.
+    # ``from_multiset`` in ``all`` mode, at the default limit and at limit 1,
+    # and ``from_support`` in ``all`` mode on 60 seeded G(n, 0.9) graphs at
+    # n = 12-14.  Every input is realizable, so the count never refutes one
+    # and NODES pins the search itself: which vertex it places next, how it
+    # narrows the domains and how many nodes it takes.
     DENSE_ANSWERS_SHA256 = (
-        "052931d50f0cdda5fe91836e14a06e7221efc3a6a06aeaf49ccde0e6fb43fbfb")
+        "34b4f346b63e87672d878cca9143a12b696bc076b76e6248a5aecddacf5e0f51")
+    DENSE_NODES_SHA256 = (
+        "a5052208b85e6e4a3522e497992620e66cd63e8a155cc0d67465a3d646cbadb2")
 
     def test_dense_search_answers_pinned(self):
-        digest = hashlib.sha256()
+        digests = ResultDigests()
         rng = random.Random(9)
         for _ in range(60):
             g = random_graph(rng.randint(12, 14), rng, 0.9)
@@ -936,9 +990,8 @@ class TestResultContract:
             for r in (from_multiset(m, "all"), from_multiset(m, "all", 1),
                       from_support(closed_support(g), "all")):
                 assert r.verdict != "infeasible"
-                adj = [tuple(h.adjacency_mask(v) for v in range(h.n)) for h in r.graphs]
-                digest.update(repr((r.verdict, adj, r.truncated, r.nodes_explored)).encode())
-        assert digest.hexdigest() == self.DENSE_ANSWERS_SHA256
+                digests.add(r)
+        assert digests.hexdigests() == (self.DENSE_ANSWERS_SHA256, self.DENSE_NODES_SHA256)
 
 
 class TestLimitOneCertifies:
@@ -1022,6 +1075,35 @@ class TestCountRefutation:
         result = from_multiset(m, "all", 64)
         assert g in result.graphs and result.nodes_explored > 0
         assert set(result.graphs) == set(brute_force_multiset_realizations(m))
+
+
+def twin_filter_refutes(m: NeighborhoodMultiset) -> bool:
+    """True when some multiplicity exceeds one and some vertex v lies in no
+    entry whose multiplicity is the number of vertices lying in exactly
+    v's entries."""
+    entries = dict(m.entries)
+    if max(entries.values()) == 1:
+        return False
+    holds = [frozenset(e for e in entries if e >> v & 1) for v in range(m.universe)]
+    return any(all(entries[e] != holds.count(h) for e in h) for h in holds)
+
+
+class TestTwinFilter:
+    """Vertices lying in the same entries are closed twins in every
+    realization, so N[v] is an entry whose multiplicity is the size of v's
+    class; the realizer refutes, before any node, a multiset in which some
+    vertex lies in no such entry."""
+
+    def test_twin_class_without_its_multiplicity_refuted_at_once(self):
+        # 2 and 3 lie in the same entries, yet no entry has multiplicity 2;
+        # the sizes pass the count, so only the search refuted this before
+        m = NeighborhoodMultiset(5, [mask_of([0, 1]), mask_of([0, 2, 3])]
+                                 + [mask_of([1, 2, 3, 4])] * 3)
+        assert not count_refutes(m) and twin_filter_refutes(m)
+        assert brute_force_multiset_realizations(m) == []
+        result = from_multiset(m, "all", 64)
+        assert (result.verdict, result.truncated, result.nodes_explored) == \
+            ("infeasible", False, 0)
 
 
 PATHS = pytest.mark.parametrize("reconstruct,invariant", [
